@@ -6,12 +6,24 @@ node potentials come from segmentation probabilities, (1-p, p); each edge
 states differ and 1-c where they agree.  Decoding maximizes the product of
 potentials, computed in log space.
 
-Two exact decoders: a max-product chain sweep for adjacent edges, and
-exhaustive enumeration of all 2^T assignments for arbitrary edge sets
-(the wrap-around and all-pairs kinds contain cycles, and T stays desk
-sized, so enumeration is the honest exact choice).  Ties break toward the
-lexicographically smallest state vector: state 0 preferred, earliest
-timestamp most significant.
+Two exact decoders:
+
+- map_decode_chain: a max-product sweep for the adjacent and cyclic edge
+  sets, O(T) per pixel.  A cyclic set is decoded by cutset conditioning:
+  fixing x_1 turns the edges (1, 2) and (1, T) into unaries on x_2 and x_T
+  and leaves an adjacent chain over x_2..x_T, so the sweep runs twice.
+- map_decode_general: enumeration of all 2^T assignments for any edge set,
+  O(2^T (T + N)) flops per pixel.  Each pixel's log-score is rewritten as
+  C + sum_t h_t x_t + sum_(t,k) q_tk x_t x_k, so a block of assignments is
+  scored against a block of pixels by one matrix product.
+
+Ties break toward the lexicographically smallest state vector: state 0
+preferred, earliest timestamp most significant.  Every returned score is
+canonical: the chosen series' node log-potentials summed in timestamp
+order, plus its edge log-potentials summed in edge order.  The general
+decoder rescores canonically every assignment that the matrix product puts
+within TIE_RTOL of a pixel's best and keeps the first maximum, so neither
+states nor scores depend on BLAS rounding, tiling or the worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +38,15 @@ from .objective import threshold_probs
 
 PROB_EPS = 1e-6
 T_MAX = 20
+## integrate decodes the flattened raster in tiles of this many pixels
+TILE_PIXELS = 4096
+## the general decoder scores at most this many (assignment, pixel) pairs
+## at once, over at most ASSIGN_BLOCK assignments
+BLOCK_ELEMENTS = 1 << 20
+ASSIGN_BLOCK = 1 << 12
+## matrix-product scores this close to a pixel's best, relative to the sum
+## of its absolute log-potentials, are rescored canonically
+TIE_RTOL = 1e-9
 
 MODES = ("degenerate", "adjacent", "cyclic", "dense")
 
@@ -54,7 +75,8 @@ class PixelPotentials:
             raise ValueError("edge table count does not match the edge set")
         if self.node.min() <= 0 or self.edge.min() <= 0:
             raise ValueError("potentials must be strictly positive")
-        if not (np.all(np.isfinite(self.node)) and np.all(np.isfinite(self.edge))):
+        ## a NaN anywhere makes the maximum NaN
+        if not (np.isfinite(self.node.max()) and np.isfinite(self.edge.max())):
             raise ValueError("potentials must be finite")
 
 
@@ -85,87 +107,153 @@ def _flatten(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray, tuple[int, i
     return node, edge, (h, w)
 
 
-def map_decode_chain(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
-    """Exact max-product sweep for adjacent edges.
+def _canonical_score(node, edge, pairs, states, cols) -> np.ndarray:
+    """Log-score of state columns states (T, K) at pixel columns cols (K,).
 
-    Runs the recursion from the last timestamp backwards, then reconstructs
-    forward so ties resolve toward the lexicographically smallest states.
-    Returns (states (T, H, W) uint8, per-pixel log-score (H, W)).
+    Node terms are summed in timestamp order, edge terms in edge order, and
+    the two sums added: one fixed order for every decoder and tile.
     """
-    t_len = pot.node.shape[0]
-    expected = [(t, t + 1) for t in range(1, t_len)]
-    if list(pot.edges.edges) != expected:
-        raise ValueError("chain decoding requires exactly the adjacent edge set")
-    node, edge, (h, w) = _flatten(pot)
-    m = h * w
+    node_sum = edge_sum = 0.0
+    for t in range(len(states)):
+        node_sum = node_sum + node[t, states[t], cols]
+    for n, (t, k) in enumerate(pairs):
+        edge_sum = edge_sum + edge[n, 2 * states[t] + states[k], cols]
+    return node_sum + edge_sum
 
+
+def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:
+    """Max-product over a chain: node (L, 2, m) and edge (L-1, 4, m) log tables.
+
+    Runs the recursion from the last node backwards, then reconstructs
+    forward so ties resolve toward the lexicographically smallest states.
+    Returns states (L, m).
+    """
+    t_len, _, m = node.shape
     ## beta[s] = best log-score of the suffix starting here in state s
     beta = node[t_len - 1]
     ptrs = []
     for t in range(t_len - 2, -1, -1):
         cand = edge[t].reshape(2, 2, m) + beta[None, :, :]
-        ## argmax over the successor state; first hit prefers state 0 on ties
-        arg = cand.argmax(axis=1)
-        best = np.take_along_axis(cand, arg[:, None, :], axis=1)[:, 0, :]
-        ptrs.append(arg)
-        beta = node[t] + best
+        ## best successor state; state 0 on ties
+        ptrs.append(cand[:, 1] > cand[:, 0])
+        beta = node[t] + np.maximum(cand[:, 0], cand[:, 1])
     ptrs.reverse()
 
-    states = np.empty((t_len, m), dtype=np.uint8)
-    states[0] = beta.argmax(axis=0)
-    score = np.take_along_axis(beta, states[0][None, :].astype(np.int64), axis=0)[0]
+    states = np.empty((t_len, m), dtype=np.intp)
+    states[0] = beta[1] > beta[0]
     cols = np.arange(m)
     for t in range(t_len - 1):
-        states[t + 1] = ptrs[t][states[t].astype(np.int64), cols]
-    return states.reshape(t_len, h, w), score.reshape(h, w)
+        states[t + 1] = ptrs[t][states[t], cols]
+    return states
 
 
-def _assignment_matrix(t_len: int) -> np.ndarray:
-    """(2^T, T) rows of states in lexicographic order, earliest timestamp
-    most significant; row index = integer value of the state vector."""
-    a = np.arange(2 ** t_len, dtype=np.int64)
-    return (a[:, None] >> (t_len - 1 - np.arange(t_len))[None, :]) & 1
+def map_decode_chain(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
+    """Exact MAP for the adjacent or the cyclic edge set, O(T) per pixel.
+
+    A cyclic set is conditioned on x_1: for each of its two values the
+    x_1 terms of edges (1, 2) and (1, T) fold into unaries on x_2 and x_T,
+    and one sweep decodes x_2..x_T.  x_1 = 1 wins only when its series has
+    the strictly higher canonical score.
+    Returns (states (T, H, W) uint8, per-pixel log-score (H, W)).
+    """
+    t_len = pot.node.shape[0]
+    listed = list(pot.edges.edges)
+    adjacent = [(t, t + 1) for t in range(1, t_len)]
+    cyclic = t_len >= 3 and listed == sorted(adjacent + [(1, t_len)])
+    if listed != adjacent and not cyclic:
+        raise ValueError("chain decoding requires the adjacent or the cyclic edge set")
+    node, edge, (h, w) = _flatten(pot)
+    pairs = pot.edges.index_pairs
+    cols = np.arange(h * w)
+    if cyclic:
+        rows = [pot.edges.index_of(pair) for pair in adjacent]
+        first, wrap = edge[rows[0]], edge[pot.edges.index_of((1, t_len))]
+        branches = []
+        for x1 in (0, 1):
+            unary = node[1:].copy()
+            unary[0] += first[2 * x1 : 2 * x1 + 2]
+            unary[-1] += wrap[2 * x1 : 2 * x1 + 2]
+            fixed = np.full((1, h * w), x1, dtype=np.intp)
+            branch = np.concatenate([fixed, _sweep(unary, edge[rows[1:]])])
+            branches.append((branch, _canonical_score(node, edge, pairs, branch, cols)))
+        (states0, score0), (states1, score1) = branches
+        pick = score1 > score0
+        states = np.where(pick, states1, states0)
+        score = np.where(pick, score1, score0)
+    else:
+        states = _sweep(node, edge)
+        score = _canonical_score(node, edge, pairs, states, cols)
+    return states.astype(np.uint8).reshape(t_len, h, w), score.reshape(h, w)
+
+
+def _assignment_features(start: int, stop: int, t_len: int, tt, kk) -> np.ndarray:
+    """Rows [x | x_t * x_k] for assignments start..stop-1, (B, T + N) float64.
+
+    Assignment a holds state (a >> (T - 1 - t)) & 1 at timestamp t: the
+    earliest timestamp is the most significant bit, so ascending a is
+    lexicographic order.
+    """
+    a = np.arange(start, stop, dtype=np.int64)
+    x = ((a[:, None] >> (t_len - 1 - np.arange(t_len))) & 1).astype(np.float64)
+    return np.concatenate([x, x[:, tt] * x[:, kk]], axis=1)
 
 
 def map_decode_general(pot: PixelPotentials, t_max: int = T_MAX) -> tuple[np.ndarray, np.ndarray]:
     """Exact MAP by scoring every assignment; works for any edge set.
 
-    Scores are gathered per (assignment, pixel) and summed along a fixed
-    small axis, so per-pixel results never depend on how pixels are
-    chunked or tiled across workers.
+    Scores come from one matrix product per block of at most ASSIGN_BLOCK
+    assignments and BLOCK_ELEMENTS (assignment, pixel) pairs, so memory is
+    bounded at every T.  Candidates near a pixel's best are rescored
+    canonically and the first maximum in assignment order wins.
     """
     t_len = pot.node.shape[0]
     if t_len > t_max:
         raise ValueError(f"series length {t_len} exceeds the enumeration cap {t_max}")
     node, edge, (h, w) = _flatten(pot)
     m = h * w
+    pairs = pot.edges.index_pairs
+    tt = np.array([t for t, _ in pairs], dtype=np.intp)
+    kk = np.array([k for _, k in pairs], dtype=np.intp)
 
-    assigns = _assignment_matrix(t_len)  # (A, T)
-    n_assign = assigns.shape[0]
-    pair_idx = pot.edges.index_pairs
-    n_edges = len(pair_idx)
-    t_rows = np.arange(t_len)[None, :]
-    if n_edges:
-        tt = np.array([p[0] for p in pair_idx])
-        kk = np.array([p[1] for p in pair_idx])
-        cells = 2 * assigns[:, tt] + assigns[:, kk]  # (A, N)
-        e_rows = np.arange(n_edges)[None, :]
+    ## pseudo-boolean coefficients [h; q], (T + N, m); the constant C drops
+    h_coef = node[:, 1] - node[:, 0]
+    for n, (t, k) in enumerate(pairs):
+        h_coef[t] += edge[n, 2] - edge[n, 0]
+        h_coef[k] += edge[n, 1] - edge[n, 0]
+    q_coef = edge[:, 0] - edge[:, 1] - edge[:, 2] + edge[:, 3]
+    coef = np.concatenate([h_coef, q_coef])
+    tol = TIE_RTOL * (1.0 + np.abs(node).sum(axis=(0, 1)) + np.abs(edge).sum(axis=(0, 1)))
+    shifts = (t_len - 1 - np.arange(t_len))[:, None]
 
+    n_assign = 2**t_len
+    a_blk = min(n_assign, ASSIGN_BLOCK)
+    p_blk = BLOCK_ELEMENTS // a_blk
+    top = np.full(m, -np.inf)  # best matrix-product score so far
+    best = np.full(m, -np.inf)  # best canonical score so far
     best_idx = np.zeros(m, dtype=np.int64)
-    best_score = np.full(m, -np.inf)
-    ## chunk pixels to bound the (A, T, chunk) gather block
-    chunk = max(1, (1 << 21) // (n_assign * max(t_len, n_edges, 1)))
-    for start in range(0, m, chunk):
-        sl = slice(start, min(start + chunk, m))
-        score = node[:, :, sl][t_rows, assigns, :].sum(axis=1)
-        if n_edges:
-            score += edge[:, :, sl][e_rows, cells, :].sum(axis=1)
-        idx = score.argmax(axis=0)  # first max = lexicographically smallest
-        best_idx[sl] = idx
-        best_score[sl] = np.take_along_axis(score, idx[None, :], axis=0)[0]
+    for a_lo in range(0, n_assign, a_blk):
+        feats = _assignment_features(a_lo, min(a_lo + a_blk, n_assign), t_len, tt, kk)
+        for p_lo in range(0, m, p_blk):
+            p_hi = min(p_lo + p_blk, m)
+            score = feats @ coef[:, p_lo:p_hi]
+            top[p_lo:p_hi] = np.maximum(top[p_lo:p_hi], score.max(axis=0))
+            near = score >= top[p_lo:p_hi] - tol[p_lo:p_hi]
+            ## few assignments are near any pixel's best: scan only their rows
+            rows = np.flatnonzero(near.any(axis=1))
+            a_near, p_near = np.nonzero(near[rows])
+            cand, cols = a_lo + rows[a_near], p_lo + p_near
+            exact = _canonical_score(node, edge, pairs, (cand >> shifts) & 1, cols)
+            ## per pixel: highest canonical score, then smallest assignment
+            order = np.lexsort((cand, -exact, cols))
+            head = np.ones(len(order), dtype=bool)
+            head[1:] = cols[order[1:]] != cols[order[:-1]]
+            win = order[head]
+            win = win[exact[win] > best[cols[win]]]
+            best[cols[win]] = exact[win]
+            best_idx[cols[win]] = cand[win]
 
-    states = assigns[best_idx].T.astype(np.uint8)  # (T, m)
-    return states.reshape(t_len, h, w), best_score.reshape(h, w)
+    states = ((best_idx[None, :] >> shifts) & 1).astype(np.uint8)
+    return states.reshape(t_len, h, w), best.reshape(h, w)
 
 
 @dataclass
@@ -209,15 +297,16 @@ def integrate(
     available: EdgeSet | None,
     mode: str,
     workers: int = 1,
-    t_max: int = T_MAX,
 ) -> MapSeries:
     """Fuse probabilistic outputs into one consistent binary map series.
 
     mode picks the edges entering each pixel's network; they must be a
     subset of `available`, the edge set describing ch_probs' rows.  The
     degenerate mode ignores change evidence entirely and thresholds the
-    segmentation probabilities at 0.5.  Results are identical for every
-    worker count: the raster is tiled, pixels are independent.
+    segmentation probabilities at 0.5.  The flattened raster is decoded in
+    tiles of TILE_PIXELS pixels, inline for one worker or on a pool of at
+    most one thread per tile; pixels are independent, so results are
+    identical for every worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -232,7 +321,7 @@ def integrate(
     if ch_probs is None or available is None:
         raise ValueError(f"mode {mode!r} needs change probabilities and their edge set")
     ch_probs = np.asarray(ch_probs, dtype=np.float64)
-    t_len = seg_probs.shape[0]
+    t_len, h, w = seg_probs.shape
     wanted = build_edge_set(mode, t_len)
     try:
         rows = [available.index_of(pair) for pair in wanted.edges]
@@ -242,41 +331,34 @@ def integrate(
         ) from exc
     pot = build_potentials(seg_probs, ch_probs[rows], wanted)
 
-    decode_chain = mode == "adjacent"
-    h, w = seg_probs.shape[1:]
-    if workers == 1 or h * w < 2 * workers:
-        if decode_chain:
-            states, score = map_decode_chain(pot)
-        else:
-            states, score = map_decode_general(pot, t_max=t_max)
-        return MapSeries(states=states, mode=mode, edges=wanted, map_score=score)
-
-    ## tile the flattened raster; each tile is decoded independently
     m = h * w
-    node_flat = pot.node.reshape(t_len, 2, m)
-    edge_flat = pot.edge.reshape(len(wanted), 4, m)
-    bounds = np.linspace(0, m, workers + 1, dtype=np.int64)
+    n_edges = len(wanted)
+    node = pot.node.reshape(t_len, 2, m)
+    edge = pot.edge.reshape(n_edges, 4, m)
     states = np.empty((t_len, m), dtype=np.uint8)
     score = np.empty(m)
+    starts = range(0, m, TILE_PIXELS)
 
-    def run(i: int) -> None:
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if lo == hi:
-            return
+    def run(lo: int) -> None:
+        hi = min(lo + TILE_PIXELS, m)
         tile = PixelPotentials(
-            node=node_flat[:, :, lo:hi].reshape(t_len, 2, 1, hi - lo),
-            edge=edge_flat[:, :, lo:hi].reshape(len(wanted), 4, 1, hi - lo),
+            node=node[:, :, lo:hi].reshape(t_len, 2, 1, hi - lo),
+            edge=edge[:, :, lo:hi].reshape(n_edges, 4, 1, hi - lo),
             edges=wanted,
         )
-        if decode_chain:
-            st, sc = map_decode_chain(tile)
-        else:
-            st, sc = map_decode_general(tile, t_max=t_max)
+        ## looked up per call, so wrappers installed on the module see it
+        decode = map_decode_general if mode == "dense" else map_decode_chain
+        st, sc = decode(tile)
         states[:, lo:hi] = st.reshape(t_len, hi - lo)
         score[lo:hi] = sc.reshape(hi - lo)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))
+    pool_size = min(workers, len(starts))
+    if pool_size <= 1:
+        for lo in starts:
+            run(lo)
+    else:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            list(pool.map(run, starts))
     return MapSeries(
         states=states.reshape(t_len, h, w),
         mode=mode,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from changeseries import markov
 from changeseries.changefeat import build_edge_set
 from changeseries.markov import (
     PROB_EPS,
@@ -115,21 +116,20 @@ def test_chain_hand_case_likely_change_splits_states():
 
 def test_full_tie_selects_all_zero_assignment():
     ## all probabilities exactly one half: every assignment scores the
-    ## same, and both decoders must return the lexicographically smallest
-    for t_len in (2, 3, 4):
-        edges = build_edge_set("adjacent", t_len)
-        seg = np.full((t_len, 2, 2), 0.5)
-        ch = np.full((len(edges), 2, 2), 0.5)
-        pot = build_potentials(seg, ch, edges)
-        chain_states, _ = map_decode_chain(pot)
-        assert not chain_states.any()
-        general_states, _ = map_decode_general(pot)
-        assert not general_states.any()
-        dense = build_edge_set("dense", t_len)
-        gen_dense, _ = map_decode_general(
-            build_potentials(seg, np.full((len(dense), 2, 2), 0.5), dense)
-        )
-        assert not gen_dense.any()
+    ## same, and every decoder must return the lexicographically smallest;
+    ## at T=12 all 4096 assignments of the general decoder are rescored
+    for t_len in (2, 3, 4, 8, 12):
+        for kind in ("adjacent", "cyclic", "dense"):
+            edges = build_edge_set(kind, t_len)
+            seg = np.full((t_len, 2, 2), 0.5)
+            ch = np.full((len(edges), 2, 2), 0.5)
+            pot = build_potentials(seg, ch, edges)
+            decoders = [map_decode_general]
+            if kind != "dense" or t_len <= 3:
+                decoders.append(map_decode_chain)
+            for decode in decoders:
+                states, _ = decode(pot)
+                assert not states.any(), (kind, t_len, decode.__name__)
 
 
 def test_partial_tie_prefers_smaller_prefix():
@@ -142,6 +142,24 @@ def test_partial_tie_prefers_smaller_prefix():
     for decode in (map_decode_chain, map_decode_general):
         states, _ = decode(pot)
         assert states[:, 0, 0].tolist() == [0, 0]
+    ## one timestamp leans to state 1 and all else is neutral: half of
+    ## the assignments tie, and the smallest of them fixes only that one
+    for t_len in (8, 12):
+        for kind in ("adjacent", "cyclic", "dense"):
+            edges = build_edge_set(kind, t_len)
+            ch = np.full((len(edges), 1, 1), 0.5)
+            for lean in (0, t_len - 1):
+                seg = np.full((t_len, 1, 1), 0.5)
+                seg[lean] = 0.9
+                want = [0] * t_len
+                want[lean] = 1
+                pot = build_potentials(seg, ch, edges)
+                decoders = [map_decode_general]
+                if kind != "dense":
+                    decoders.append(map_decode_chain)
+                for decode in decoders:
+                    states, _ = decode(pot)
+                    assert states[:, 0, 0].tolist() == want, (kind, t_len, lean)
 
 
 @pytest.mark.parametrize("t_len", [2, 3, 4, 5])
@@ -160,13 +178,82 @@ def test_decoders_match_brute_force(t_len, kind):
 
 
 def test_chain_matches_general_on_many_draws():
-    for seed in range(20):
-        seg, ch, edges = random_instance(seed, 5, "adjacent", h=3, w=3)
-        pot = build_potentials(seg, ch, edges)
-        a_states, a_scores = map_decode_chain(pot)
-        b_states, b_scores = map_decode_general(pot)
-        assert np.array_equal(a_states, b_states)
-        assert np.allclose(a_scores, b_scores, atol=1e-9)
+    ## same series from both decoders, and the same fixed-order score sum
+    for kind in ("adjacent", "cyclic"):
+        for seed in range(20):
+            seg, ch, edges = random_instance(seed, 5, kind, h=3, w=3)
+            pot = build_potentials(seg, ch, edges)
+            a_states, a_scores = map_decode_chain(pot)
+            b_states, b_scores = map_decode_general(pot)
+            assert np.array_equal(a_states, b_states)
+            assert np.array_equal(a_scores, b_scores)
+
+
+@pytest.mark.parametrize("t_len", [2, 3, 4, 5, 6, 7])
+def test_cyclic_chain_matches_brute_force(t_len):
+    ## cutset conditioning on x_1; T=2 is the single adjacent pair
+    seg, ch, edges = random_instance(200 + t_len, t_len, "cyclic")
+    want_states, want_scores = brute_force_map(seg, ch, edges)
+    states, scores = map_decode_chain(build_potentials(seg, ch, edges))
+    assert np.array_equal(states, want_states)
+    assert np.allclose(scores, want_scores, atol=1e-9)
+
+
+def test_chain_rejects_other_edge_sets():
+    seg, ch, edges = random_instance(19, 4, "dense")
+    with pytest.raises(ValueError):
+        map_decode_chain(build_potentials(seg, ch, edges))
+
+
+@pytest.mark.parametrize("kind,t_len", [("cyclic", 8), ("cyclic", 14), ("dense", 10)])
+def test_decoders_match_brute_force_long_series(kind, t_len):
+    seg, ch, edges = random_instance(400 + t_len, t_len, kind, h=2, w=2)
+    want_states, want_scores = brute_force_map(seg, ch, edges)
+    pot = build_potentials(seg, ch, edges)
+    decoders = [map_decode_general] + ([map_decode_chain] if kind == "cyclic" else [])
+    for decode in decoders:
+        states, scores = decode(pot)
+        assert np.array_equal(states, want_states)
+        assert np.allclose(scores, want_scores, atol=1e-9)
+
+
+def series_log_score(states, seg, ch, edges):
+    """Per-pixel log-score of a (T, H, W) binary series under clamped potentials."""
+    p = np.clip(seg, PROB_EPS, 1 - PROB_EPS)
+    c = np.clip(ch, PROB_EPS, 1 - PROB_EPS)
+    score = np.log(np.where(states, p, 1 - p)).sum(axis=0)
+    for n, (t, k) in enumerate(edges.index_pairs):
+        score += np.log(np.where(states[t] != states[k], c[n], 1 - c[n]))
+    return score
+
+
+def test_cyclic_decodes_at_the_enumeration_cap():
+    seg, ch, edges = random_instance(21, T_MAX, "cyclic", h=64, w=64)
+    series = integrate(seg, ch, edges, "cyclic")
+    assert series.states.shape == (T_MAX, 64, 64)
+    few = (slice(None), slice(0, 1), slice(0, 3))
+    states, scores = map_decode_general(build_potentials(seg[few], ch[few], edges))
+    assert np.array_equal(states, series.states[few])
+    assert np.array_equal(scores, series.map_score[few[1:]])
+    fused = series_log_score(series.states, seg, ch, edges)
+    assert np.allclose(fused, series.map_score, rtol=1e-12)
+    thresholded = series_log_score(threshold_probs(seg), seg, ch, edges)
+    assert np.all(fused >= thresholded - 1e-9 * np.abs(thresholded))
+
+
+def test_general_blocking_does_not_change_results(monkeypatch):
+    seg, ch, edges = random_instance(22, 8, "dense", h=5, w=7)
+    pot = build_potentials(seg, ch, edges)
+    base_states, base_scores = map_decode_general(pot)
+    monkeypatch.setattr(markov, "ASSIGN_BLOCK", 16)
+    monkeypatch.setattr(markov, "BLOCK_ELEMENTS", 64)
+    states, scores = map_decode_general(pot)
+    assert np.array_equal(states, base_states)
+    assert np.array_equal(scores, base_scores)
+    ## a tie spread over many assignment blocks still goes to the first
+    tie = build_potentials(np.full((8, 2, 2), 0.5), np.full((len(edges), 2, 2), 0.5), edges)
+    states, _ = map_decode_general(tie)
+    assert not states.any()
 
 
 def test_uniform_edges_reduce_to_thresholding():
@@ -261,17 +348,54 @@ def test_integrate_noise_free_inputs_recover_labels():
     assert np.array_equal(series.states, labels)
 
 
-def test_integrate_worker_counts_agree():
-    seg, ch, edges = random_instance(16, 4, "dense", h=13, w=11)
-    base = integrate(seg, ch, edges, "dense", workers=1)
-    for workers in (2, 3, 7, 64):
-        other = integrate(seg, ch, edges, "dense", workers=workers)
-        assert np.array_equal(base.states, other.states)
-        assert np.array_equal(base.map_score, other.map_score)
-    chain_base = integrate(seg, ch, edges, "adjacent", workers=1)
-    chain_many = integrate(seg, ch, edges, "adjacent", workers=5)
-    assert np.array_equal(chain_base.states, chain_many.states)
-    assert np.array_equal(chain_base.map_score, chain_many.map_score)
+def test_integrate_worker_counts_agree(monkeypatch):
+    def agree(seg, ch, edges, modes):
+        for mode in modes:
+            base = integrate(seg, ch, edges, mode, workers=1)
+            for workers in (2, 3, 7, 64):
+                other = integrate(seg, ch, edges, mode, workers=workers)
+                assert np.array_equal(base.states, other.states)
+                assert np.array_equal(base.map_score, other.map_score)
+
+    ## 67 x 67 pixels: one full tile and one partial tile
+    side = 67
+    assert side * side % markov.TILE_PIXELS and side * side > markov.TILE_PIXELS
+    agree(*random_instance(16, 12, "dense", h=side, w=side), ("dense", "cyclic", "adjacent"))
+    ## many small uneven tiles
+    monkeypatch.setattr(markov, "TILE_PIXELS", 10)
+    agree(*random_instance(16, 4, "dense", h=13, w=11), ("dense", "cyclic", "adjacent"))
+
+
+def test_integrate_pool_never_exceeds_tiles(monkeypatch):
+    pools, tasks = [], []
+
+    class InlinePool:
+        """Stands in for the thread pool: records its size, runs tasks inline."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            tasks.append(len(items))
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(markov, "ThreadPoolExecutor", InlinePool)
+    seg, ch, edges = random_instance(18, 4, "adjacent", h=128, w=128)
+    tiles = -(-128 * 128 // markov.TILE_PIXELS)
+    assert tiles > 1
+    series = integrate(seg, ch, edges, "adjacent", workers=5000)
+    assert pools == [tiles] and tasks == [tiles]
+    inline = integrate(seg, ch, edges, "adjacent", workers=1)
+    assert pools == [tiles]
+    assert np.array_equal(series.states, inline.states)
+    assert np.array_equal(series.map_score, inline.map_score)
 
 
 def test_map_series_xor_and_lookup():

@@ -18,7 +18,7 @@ from .objective import EvalReport, binary_metrics, evaluate, jaccard_loss, multi
 from .rng import SeededRng
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate
 from .temporal import TemporalConfig, TemporalRefiner, temporal_encoding
-from .tensor import export_pgm, flatten_spatial, read_raster, unflatten_spatial, write_raster
+from .tensor import export_pgm, read_raster, write_raster
 from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "corrupt_to_probabilities",
     "evaluate",
     "export_pgm",
-    "flatten_spatial",
     "generate",
     "integrate",
     "jaccard_loss",
@@ -55,7 +54,6 @@ __all__ = [
     "save_checkpoint",
     "temporal_encoding",
     "train",
-    "unflatten_spatial",
     "write_raster",
     "__version__",
 ]

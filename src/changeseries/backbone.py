@@ -1,4 +1,4 @@
-"""Shared-weight encoder, twin decoders, and checkpoint serialization.
+"""Shared-weight encoder, twin decoders, and checkpoints on the RTS1 codec.
 
 The encoder applies the same weights to every image of the series by
 folding timestamps into the batch axis.  It emits a feature pyramid with
@@ -14,22 +14,21 @@ produces per-pixel probabilities.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonconfig import JsonConfig
 from .layers import Conv2d, ConvBlock, MaxPool2x2, Sigmoid, TransposeConv2x2
 from .rng import SeededRng
-from .tensor import RASTER_MAGIC, RasterFormatError
+from .tensor import RasterFormatError, _atomic_write, _decode_raster, _encode_raster
 
 CHECKPOINT_MAGIC = b"CKPT"
 
 
 @dataclass(frozen=True)
-class BackboneConfig:
+class BackboneConfig(JsonConfig):
     scales: int = 3
     base_width: int = 8
     in_channels: int = 3
@@ -161,54 +160,66 @@ def save_checkpoint(path: str, named_values: dict, meta: dict) -> None:
     index = []
     offset = 0
     for name, value in named_values.items():
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"parameter {name} contains non-finite values")
-        payload = arr.astype("<f4")
-        rec = RASTER_MAGIC + struct.pack("<I", arr.ndim)
-        rec += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        rec += payload.tobytes(order="C")
-        index.append({"name": name, "offset": offset, "shape": list(arr.shape)})
+        try:
+            rec = _encode_raster(value)
+        except RasterFormatError as exc:
+            raise RasterFormatError(f"parameter {name}: {exc}") from exc
+        index.append({"name": name, "offset": offset, "shape": list(np.shape(value))})
         records.append(rec)
         offset += len(rec)
     header = json.dumps({"meta": meta, "index": index}, sort_keys=True).encode("utf-8")
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + b"".join(records)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(
+        path, CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + b"".join(records)
+    )
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict]:
-    """Read back (meta, {name: float64 array}) from save_checkpoint's layout."""
+    """Read back (meta, {name: float64 array}) from save_checkpoint's layout.
+
+    The index must list each name once, and its records must tile the body
+    exactly: each offset is the previous record's end, and the last record
+    ends at the end of the file.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise RasterFormatError(f"{path}: not a checkpoint file")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + hlen:
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    body = 8 + hlen
+    if len(blob) < body:
         raise RasterFormatError(f"{path}: truncated checkpoint header")
-    header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
-    body = blob[8 + hlen :]
+    try:
+        header = json.loads(blob[8:body].decode("utf-8"))
+    except ValueError as exc:
+        raise RasterFormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    if not (
+        isinstance(header, dict)
+        and set(header) == {"meta", "index"}
+        and isinstance(header["index"], list)
+    ):
+        raise RasterFormatError(f'{path}: header is not {{"meta": ..., "index": [...]}}')
     values = {}
-    for entry in header["index"]:
-        start = entry["offset"]
-        if body[start : start + 4] != RASTER_MAGIC:
-            raise RasterFormatError(f"{path}: bad record magic for {entry['name']}")
-        (rank,) = struct.unpack("<I", body[start + 4 : start + 8])
-        extents = struct.unpack(f"<{rank}I", body[start + 8 : start + 8 + 4 * rank])
-        if list(extents) != [int(x) for x in entry["shape"]]:
-            raise RasterFormatError(f"{path}: shape mismatch for {entry['name']}")
-        count = 1
-        for e in extents:
-            count *= e
-        data_start = start + 8 + 4 * rank
-        flat = np.frombuffer(body, dtype="<f4", offset=data_start, count=count)
-        values[entry["name"]] = flat.astype(np.float64).reshape(extents)
+    end = body
+    for i, entry in enumerate(header["index"]):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and type(entry.get("offset")) is int
+            and isinstance(entry.get("shape"), list)
+        ):
+            raise RasterFormatError(
+                f"{path}: index entry {i} needs a string name, an int offset and a list shape"
+            )
+        name = entry["name"]
+        if name in values:
+            raise RasterFormatError(f"{path}: duplicate record name {name!r}")
+        if body + entry["offset"] != end:
+            raise RasterFormatError(
+                f"{path}: record {name!r} at offset {entry['offset']}, expected {end - body}"
+            )
+        values[name], end = _decode_raster(blob, end, f"{path}: record {name!r}")
+        if list(values[name].shape) != entry["shape"]:
+            raise RasterFormatError(f"{path}: shape mismatch for {name!r}")
+    if end != len(blob):
+        raise RasterFormatError(f"{path}: {len(blob) - end} bytes after the last record")
     return header["meta"], values

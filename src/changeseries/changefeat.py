@@ -8,6 +8,7 @@ operation owns no parameters.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,33 @@ def build_edge_set(kind: str, t_len: int) -> EdgeSet:
     return EdgeSet(kind, t_len, tuple(_expected_edges(kind, t_len)))
 
 
+class XorChanges(Mapping):
+    """Change maps of a (T, H, W) binary state stack, computed on lookup.
+
+    Pair (t, k), 1-based with t < k, maps to the XOR of states t and k as
+    uint8.  Iteration lists the dense pairs in lexicographic order.
+    """
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+
+    def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
+        t, k = pair
+        if not 1 <= t < k <= len(self.states):
+            raise KeyError(f"pair {pair} outside 1 <= t < k <= {len(self.states)}")
+        return np.logical_xor(self.states[t - 1], self.states[k - 1]).astype(np.uint8)
+
+    def __iter__(self):
+        return iter(_expected_edges("dense", len(self.states)))
+
+    def __len__(self) -> int:
+        return len(self.states) * (len(self.states) - 1) // 2
+
+    def stack(self, edges: EdgeSet) -> np.ndarray:
+        """(N, H, W) change maps following the edge set's order."""
+        return np.stack([self[pair] for pair in edges.edges], axis=0)
+
+
 def edge_difference(features: np.ndarray, earlier: int, later: int) -> np.ndarray:
     """later-minus-earlier difference of per-timestamp features (0-based indices)."""
     t_len = features.shape[0]
@@ -112,9 +140,7 @@ def change_pyramid(refined: list[np.ndarray], edges: EdgeSet) -> list[np.ndarray
     return out
 
 
-def change_pyramid_backward(
-    d_change: list[np.ndarray], edges: EdgeSet, t_len: int
-) -> list[np.ndarray]:
+def change_pyramid_backward(d_change: list[np.ndarray], edges: EdgeSet) -> list[np.ndarray]:
     """Route change-feature gradients back onto the refined pyramid.
 
     Each edge row contributes +g at its later timestamp and -g at its
@@ -122,7 +148,7 @@ def change_pyramid_backward(
     """
     out = []
     for g in d_change:
-        acc = np.zeros((t_len,) + g.shape[1:], dtype=np.float64)
+        acc = np.zeros((edges.t_len,) + g.shape[1:], dtype=np.float64)
         for n, (t, k) in enumerate(edges.index_pairs):
             acc[k] += g[n]
             acc[t] -= g[n]

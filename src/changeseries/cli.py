@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
-from .changefeat import EdgeSet, build_edge_set
+from .changefeat import EdgeSet, XorChanges, build_edge_set
 from .markov import MODES, MapSeries, integrate
 from .model import ChangeModel, ModelConfig
 from .objective import TASKS, ThresholdedChanges, evaluate, threshold_probs
@@ -86,9 +86,12 @@ class RunDir:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _load_edges(path: str) -> EdgeSet:
@@ -104,30 +107,49 @@ def _load_edges(path: str) -> EdgeSet:
 
 
 def load_scene_dir(path: str) -> Scene:
-    """Rebuild a Scene from a synth-gen run directory."""
+    """Rebuild a Scene from a synth-gen run directory.
+
+    Only the images and seg_labels rasters are read: change labels are
+    derived from seg_labels.
+    """
     manifest = _load_json(os.path.join(path, "manifest.json"))
     try:
         spec = SceneSpec.from_jsonable(manifest["config"]["spec"])
-        files = manifest["outputs"]
+        images = os.path.join(path, manifest["outputs"]["images"])
+        seg = os.path.join(path, manifest["outputs"]["seg_labels"])
     except KeyError as exc:
         raise CliError(f"{path}: manifest is missing {exc}") from exc
-    images = read_raster(os.path.join(path, files["images"]))
-    seg = read_raster(os.path.join(path, files["seg_labels"]))
-    ch = read_raster(os.path.join(path, files["change_labels"]))
-    edges = EdgeSet.from_jsonable(files["edges"])
-    changes = {pair: ch[i].astype(np.uint8) for i, pair in enumerate(edges.edges)}
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: malformed manifest: {exc}") from exc
     return Scene(
-        spec=spec,
-        images=images,
-        seg_labels=seg.astype(np.uint8),
-        change_labels=changes,
+        spec=spec, images=read_raster(images), seg_labels=read_raster(seg).astype(np.uint8)
     )
+
+
+def _load_model(path: str) -> tuple[ChangeModel, TrainConfig]:
+    """The checkpointed model and the config it was trained with.
+
+    A checkpoint without a "train" section gets the default TrainConfig,
+    whose edge kind and series length are the fallbacks for it.
+    """
+    meta, values = load_checkpoint(path)
+    if not isinstance(meta, dict):
+        raise CliError(f"{path}: checkpoint meta is {type(meta).__name__}, not an object")
+    try:
+        model_cfg = ModelConfig.from_jsonable(meta.get("model"))
+        train_cfg = TrainConfig.from_jsonable(meta["train"]) if "train" in meta else TrainConfig()
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    model = ChangeModel(model_cfg)
+    model.load_param_values(values)
+    return model, train_cfg
 
 
 ## ---------------------------------------------------------------- synth-gen
 
 
 def _cmd_synth_gen(args) -> int:
+    run = RunDir(args.out, "synth-gen")
     spec = SceneSpec(
         seed=args.seed,
         t_len=args.t,
@@ -146,7 +168,7 @@ def _cmd_synth_gen(args) -> int:
         scene, args.seg_noise, args.ch_noise, seed=args.corrupt_seed
     )
     dense = build_edge_set("dense", spec.t_len)
-    with RunDir(args.out, "synth-gen") as run:
+    with run:
         write_raster(run.path("images.rts"), scene.images)
         write_raster(run.path("seg_labels.rts"), scene.seg_labels.astype(np.float64))
         write_raster(run.path("change_labels.rts"), scene.change_stack(dense).astype(np.float64))
@@ -193,6 +215,7 @@ def _model_config_from_args(args, in_channels: int) -> ModelConfig:
 
 
 def _cmd_train(args) -> int:
+    run = RunDir(args.out, "train")
     train_scenes = [load_scene_dir(p) for p in args.scenes]
     val_scenes = [load_scene_dir(p) for p in args.val_scenes]
     channels = train_scenes[0].images.shape[1]
@@ -212,7 +235,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
     )
     result = train(train_scenes, val_scenes, model_cfg, cfg)
-    with RunDir(args.out, "train") as run:
+    with run:
         meta = {
             "model": model_cfg.to_jsonable(),
             "train": cfg.to_jsonable(),
@@ -246,17 +269,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    meta, values = load_checkpoint(args.checkpoint)
-    model_cfg = ModelConfig.from_jsonable(meta["model"])
-    model = ChangeModel(model_cfg)
-    model.load_param_values(values)
+    run = RunDir(args.out, "infer")
+    model, train_cfg = _load_model(args.checkpoint)
     images = read_raster(args.images)
     if images.ndim != 4:
         raise CliError(f"{args.images}: expected (T, C, H, W), got rank {images.ndim}")
-    kind = args.edge_kind or meta.get("train", {}).get("edge_kind", "dense")
+    kind = args.edge_kind or train_cfg.edge_kind
     edges = build_edge_set(kind, images.shape[0])
     seg_probs, ch_probs = model.forward(images, edges)
-    with RunDir(args.out, "infer") as run:
+    with run:
         write_raster(run.path("seg_probs.rts"), seg_probs)
         write_raster(run.path("ch_probs.rts"), ch_probs)
         run.write_manifest(
@@ -280,6 +301,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    run = RunDir(args.out, "integrate")
     seg_probs = read_raster(args.seg_probs)
     ch_probs = None
     available = None
@@ -291,7 +313,7 @@ def _cmd_integrate(args) -> int:
     series = integrate(
         seg_probs, ch_probs, available, args.mode, workers=args.workers
     )
-    with RunDir(args.out, "integrate") as run:
+    with run:
         write_raster(run.path("states.rts"), series.states.astype(np.float64))
         for t in range(series.t_len):
             export_pgm(run.path(f"states_t{t + 1}.pgm"), series.states[t].astype(np.float64))
@@ -332,15 +354,6 @@ def _cmd_integrate(args) -> int:
 ## ---------------------------------------------------------------------- eval
 
 
-class _XorChanges:
-    def __init__(self, states: np.ndarray):
-        self._states = states
-
-    def __getitem__(self, pair):
-        t, k = pair
-        return np.logical_xor(self._states[t - 1], self._states[k - 1]).astype(np.uint8)
-
-
 def _load_truth(path: str) -> np.ndarray:
     if os.path.isdir(path):
         scene = load_scene_dir(path)
@@ -358,10 +371,11 @@ def _format_table(reports: list) -> str:
 
 
 def _cmd_eval(args) -> int:
+    run = RunDir(args.out, "eval")
     true_seg = _load_truth(args.labels)
     if args.pred_states:
         states = read_raster(args.pred_states).astype(np.uint8)
-        pred_seg, pred_change = states, _XorChanges(states)
+        pred_seg, pred_change = states, XorChanges(states)
         source = {"pred_states": os.path.abspath(args.pred_states)}
     else:
         if not (args.seg_probs and args.ch_probs and args.edges):
@@ -379,7 +393,7 @@ def _cmd_eval(args) -> int:
     tasks = list(TASKS) if args.task == "all" else [args.task]
     reports = [evaluate(task, pred_seg, pred_change, true_seg) for task in tasks]
     print(_format_table(reports))
-    with RunDir(args.out, "eval") as run:
+    with run:
         with open(run.path("report.json"), "w", encoding="utf-8") as fh:
             json.dump([r.to_jsonable() for r in reports], fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -450,6 +464,7 @@ def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
 
 
 def _cmd_ablate(args) -> int:
+    run = RunDir(args.out, "ablate")
     cfg = _load_json(args.config)
     grid = cfg.get("grid", {})
     modes = grid.get("mti_modes", ["degenerate", "dense"])
@@ -460,11 +475,9 @@ def _cmd_ablate(args) -> int:
     rows = []
 
     if "checkpoint" in cfg:
-        meta, values = load_checkpoint(cfg["checkpoint"])
-        model = ChangeModel(ModelConfig.from_jsonable(meta["model"]))
-        model.load_param_values(values)
-        kind = meta.get("train", {}).get("edge_kind", "dense")
-        t_len = int(cfg["scenes"].get("t", meta.get("train", {}).get("t_train", 4)))
+        model, train_cfg = _load_model(cfg["checkpoint"])
+        kind = train_cfg.edge_kind
+        t_len = int(cfg["scenes"].get("t", train_cfg.t_train))
         _, val_scenes = _scenes_from_config(cfg["scenes"], t_len)
         for row in _ablate_eval_rows(model, kind, modes, val_scenes, workers):
             rows.append({"checkpoint": cfg["checkpoint"], "edge_kind": kind, **row})
@@ -481,11 +494,12 @@ def _cmd_ablate(args) -> int:
             for kind in loss_kinds:
                 for use_tfr in tfr_flags:
                     model_cfg = ModelConfig(
-                        backbone=BackboneConfig(
-                            scales=int(base_model.get("scales", 3)),
-                            base_width=int(base_model.get("base_width", 8)),
-                            in_channels=channels,
-                            use_batchnorm=bool(base_model.get("use_batchnorm", True)),
+                        backbone=BackboneConfig.from_jsonable(
+                            {
+                                **BackboneConfig().to_jsonable(),
+                                **base_model,
+                                "in_channels": channels,
+                            }
                         ),
                         temporal=TemporalConfig() if use_tfr else None,
                         seed=seed,
@@ -523,7 +537,7 @@ def _cmd_ablate(args) -> int:
         for key in row:
             if key not in fields:
                 fields.append(key)
-    with RunDir(args.out, "ablate") as run:
+    with run:
         with open(run.path("table.json"), "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .changefeat import EdgeSet, build_edge_set
+from .changefeat import EdgeSet, XorChanges, build_edge_set
 from .objective import threshold_probs
 
 PROB_EPS = 1e-6
@@ -273,7 +273,7 @@ class MapSeries:
         """Binary change map between timestamps t < k (1-based), by XOR."""
         if not 1 <= t < k <= self.t_len:
             raise ValueError(f"need 1 <= t < k <= {self.t_len}, got ({t}, {k})")
-        return np.logical_xor(self.states[t - 1], self.states[k - 1]).astype(np.uint8)
+        return XorChanges(self.states)[(t, k)]
 
     def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
         return self.derived_change(*pair)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, Decoder, Encoder
 from .changefeat import EdgeSet, change_pyramid, change_pyramid_backward
+from .jsonconfig import JsonConfig
 from .rng import SeededRng
 from .temporal import TemporalConfig, TemporalRefiner
 
@@ -23,7 +24,7 @@ _STREAM_INIT = 777
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(JsonConfig):
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     temporal: TemporalConfig | None = field(default_factory=TemporalConfig)
     seed: int = 0
@@ -31,51 +32,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.temporal is not None and self.backbone.base_width % self.temporal.heads:
             raise ValueError("base width must be divisible by the head count")
-
-    def to_jsonable(self) -> dict:
-        bb = self.backbone
-        out = {
-            "seed": self.seed,
-            "backbone": {
-                "scales": bb.scales,
-                "base_width": bb.base_width,
-                "in_channels": bb.in_channels,
-                "use_batchnorm": bb.use_batchnorm,
-            },
-            "temporal": None,
-        }
-        if self.temporal is not None:
-            tc = self.temporal
-            out["temporal"] = {
-                "heads": tc.heads,
-                "layers": tc.layers,
-                "ff_mult": tc.ff_mult,
-                "use_position_codes": tc.use_position_codes,
-            }
-        return out
-
-    @staticmethod
-    def from_jsonable(obj: dict) -> "ModelConfig":
-        bb = obj["backbone"]
-        temporal = None
-        if obj.get("temporal") is not None:
-            tc = obj["temporal"]
-            temporal = TemporalConfig(
-                heads=int(tc["heads"]),
-                layers=int(tc["layers"]),
-                ff_mult=int(tc["ff_mult"]),
-                use_position_codes=bool(tc["use_position_codes"]),
-            )
-        return ModelConfig(
-            backbone=BackboneConfig(
-                scales=int(bb["scales"]),
-                base_width=int(bb["base_width"]),
-                in_channels=int(bb["in_channels"]),
-                use_batchnorm=bool(bb["use_batchnorm"]),
-            ),
-            temporal=temporal,
-            seed=int(obj["seed"]),
-        )
 
 
 class ChangeModel:
@@ -148,7 +104,7 @@ class ChangeModel:
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:
         edges = self._edges
         d_diff = self.change_decoder.backward(d_ch)
-        d_refined = change_pyramid_backward(d_diff, edges, edges.t_len)
+        d_refined = change_pyramid_backward(d_diff, edges)
         d_from_seg = self.seg_decoder.backward(d_seg)
         merged = [a + b for a, b in zip(d_refined, d_from_seg)]
         if self.refiners is not None:

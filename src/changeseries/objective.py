@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .changefeat import XorChanges
+
 SMOOTH = 1e-6
 
 TASKS = ("bitemporal", "continuous", "segmentation")
@@ -181,14 +183,12 @@ def evaluate(
     if t_len < 2:
         raise ValueError("evaluation needs at least 2 timestamps")
 
-    def true_change(t: int, k: int) -> np.ndarray:
-        return np.logical_xor(true_seg[t - 1], true_seg[k - 1]).astype(np.uint8)
-
+    true_change = XorChanges(true_seg)
     if task == "bitemporal":
-        pairs = [(_lookup_change(pred_change, (1, t_len)), true_change(1, t_len))]
+        pairs = [(_lookup_change(pred_change, (1, t_len)), true_change[(1, t_len)])]
     elif task == "continuous":
         pairs = [
-            (_lookup_change(pred_change, (t, t + 1)), true_change(t, t + 1))
+            (_lookup_change(pred_change, (t, t + 1)), true_change[(t, t + 1)])
             for t in range(1, t_len)
         ]
     else:

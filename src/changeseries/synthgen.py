@@ -4,8 +4,9 @@ A scene is a T-step image series over a fixed extent: a smooth background
 texture, axis-aligned rectangular "buildings" that appear at a drawn
 construction timestamp (and optionally disappear at a later demolition
 timestamp), per-timestamp global illumination offsets, and per-pixel
-Gaussian noise.  Labels are exact: segmentation masks per timestamp and,
-derived from them, change masks for every ordered timestamp pair.
+Gaussian noise.  Labels are exact: segmentation masks per timestamp are
+stored, and the change mask of every ordered timestamp pair is derived
+from them by XOR on lookup.
 
 Everything is a pure function of the SceneSpec seed.
 """
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .changefeat import EdgeSet, build_edge_set
+from .changefeat import EdgeSet, XorChanges, build_edge_set
+from .jsonconfig import JsonConfig
+from .markov import PROB_EPS
 from .rng import SeededRng
-
-PROB_EPS = 1e-6
 
 ## derive() tags for the generator's independent streams
 _STREAM_GEOMETRY = 1
@@ -31,9 +32,9 @@ _STREAM_CH_CORRUPT = 11
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(JsonConfig):
     seed: int = 0
-    t_len: int = 4
+    t_len: int = field(default=4, metadata={"key": "t"})
     height: int = 64
     width: int = 64
     channels: int = 3
@@ -64,52 +65,25 @@ class SceneSpec:
         if not 0.0 <= self.demolition_rate <= 1.0:
             raise ValueError("demolition_rate must lie in [0, 1]")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed,
-            "t": self.t_len,
-            "height": self.height,
-            "width": self.width,
-            "channels": self.channels,
-            "n_buildings": self.n_buildings,
-            "min_extent": self.min_extent,
-            "max_extent": self.max_extent,
-            "noise_sigma": self.noise_sigma,
-            "illumination_jitter": self.illumination_jitter,
-            "demolition_rate": self.demolition_rate,
-        }
-
-    @staticmethod
-    def from_jsonable(obj: dict) -> "SceneSpec":
-        return SceneSpec(
-            seed=int(obj["seed"]),
-            t_len=int(obj["t"]),
-            height=int(obj["height"]),
-            width=int(obj["width"]),
-            channels=int(obj["channels"]),
-            n_buildings=int(obj["n_buildings"]),
-            min_extent=int(obj["min_extent"]),
-            max_extent=int(obj["max_extent"]),
-            noise_sigma=float(obj["noise_sigma"]),
-            illumination_jitter=float(obj["illumination_jitter"]),
-            demolition_rate=float(obj["demolition_rate"]),
-        )
-
 
 @dataclass
 class Scene:
     spec: SceneSpec
     images: np.ndarray  # (T, C, H, W) float64 in [0, 1]
     seg_labels: np.ndarray  # (T, H, W) uint8 in {0, 1}
-    change_labels: dict = field(default_factory=dict)  # (t, k) 1-based -> (H, W) uint8
 
     @property
     def t_len(self) -> int:
         return int(self.images.shape[0])
 
+    @property
+    def change_labels(self) -> XorChanges:
+        """(t, k) 1-based -> (H, W) uint8 change label, the XOR of seg_labels."""
+        return XorChanges(self.seg_labels)
+
     def change_stack(self, edges: EdgeSet) -> np.ndarray:
         """(N, H, W) change labels following the edge set's order."""
-        return np.stack([self.change_labels[pair] for pair in edges.edges], axis=0)
+        return self.change_labels.stack(edges)
 
 
 def _smooth_texture(rng: SeededRng, height: int, width: int) -> np.ndarray:
@@ -164,11 +138,7 @@ def generate(spec: SceneSpec) -> Scene:
         frame = canvas[None, :, :] + offsets[step - 1]
         frame = frame + noise.normal((spec.channels, spec.height, spec.width)) * spec.noise_sigma
         images[step - 1] = np.clip(frame, 0.0, 1.0)
-
-    changes = {}
-    for t, k in build_edge_set("dense", spec.t_len).edges:
-        changes[(t, k)] = np.logical_xor(seg[t - 1], seg[k - 1]).astype(np.uint8)
-    return Scene(spec=spec, images=images, seg_labels=seg, change_labels=changes)
+    return Scene(spec=spec, images=images, seg_labels=seg)
 
 
 def corrupt_to_probabilities(

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonconfig import JsonConfig
 from .layers import LayerNorm, Linear, Param, ReLU, kaiming_uniform
 from .rng import SeededRng
 
 
 @dataclass(frozen=True)
-class TemporalConfig:
+class TemporalConfig(JsonConfig):
     heads: int = 2
     layers: int = 2
     ff_mult: int = 4

@@ -1,4 +1,4 @@
-"""Dense tensor plumbing: spatial flattening, raster file I/O, PGM export.
+"""Dense tensor plumbing: the RTS1 raster codec, raster file I/O, PGM export.
 
 Tensors are plain numpy float64 arrays, rank 1 through 5, row-major
 semantics throughout.  The on-disk raster format ("RTS1") is:
@@ -9,7 +9,9 @@ semantics throughout.  The on-disk raster format ("RTS1") is:
     rest          payload, float32 little-endian, row-major,
                   exactly 4 * prod(extents) bytes
 
-Compute stays in float64; files store float32.
+Compute stays in float64; files store float32.  The record encoder and
+decoder are shared with checkpoints (backbone.py), which concatenate RTS1
+records after a JSON index.
 """
 
 from __future__ import annotations
@@ -33,26 +35,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise RasterFormatError(f"{what} contains non-finite values")
 
 
-def flatten_spatial(x: np.ndarray) -> np.ndarray:
-    """(T, D, H, W) -> (T, D, H*W); cell (h, w) lands at index h*W + w."""
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise ValueError(f"flatten_spatial expects rank 4, got rank {x.ndim}")
-    t, d, h, w = x.shape
-    return x.reshape(t, d, h * w)
-
-
-def unflatten_spatial(x: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Inverse of flatten_spatial."""
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ValueError(f"unflatten_spatial expects rank 3, got rank {x.ndim}")
-    t, d, p = x.shape
-    if p != height * width:
-        raise ValueError(f"cannot unflatten {p} cells into {height}x{width}")
-    return x.reshape(t, d, height, width)
-
-
 def _atomic_write(path: str, payload: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-raster-")
@@ -66,8 +48,8 @@ def _atomic_write(path: str, payload: bytes) -> None:
         raise
 
 
-def write_raster(path: str, tensor: np.ndarray) -> None:
-    """Serialize a rank 1..5 finite tensor; float64 values are cast to float32."""
+def _encode_raster(tensor: np.ndarray) -> bytes:
+    """One RTS1 record for a rank 1..5 finite tensor, values cast to float32."""
     arr = np.asarray(tensor, dtype=np.float64)
     if not 1 <= arr.ndim <= MAX_RANK:
         raise RasterFormatError(f"raster rank must be 1..{MAX_RANK}, got {arr.ndim}")
@@ -80,38 +62,59 @@ def write_raster(path: str, tensor: np.ndarray) -> None:
     _require_finite(payload, "float32-cast tensor")
     header = RASTER_MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    _atomic_write(path, header + payload.tobytes(order="C"))
+    return header + payload.tobytes(order="C")
+
+
+def _decode_raster(blob: bytes, start: int, what: str) -> tuple[np.ndarray, int]:
+    """Parse the RTS1 record at byte offset start of blob.
+
+    Returns the float64 array and the offset one past the record's end;
+    bytes after that are the caller's to judge.
+    """
+    if len(blob) < start + 8:
+        raise RasterFormatError(f"{what}: shorter than any valid header")
+    if blob[start : start + 4] != RASTER_MAGIC:
+        raise RasterFormatError(f"{what}: bad magic {blob[start : start + 4]!r}")
+    (rank,) = struct.unpack_from("<I", blob, start + 4)
+    if not 1 <= rank <= MAX_RANK:
+        raise RasterFormatError(f"{what}: rank {rank} outside 1..{MAX_RANK}")
+    data_start = start + 8 + 4 * rank
+    if len(blob) < data_start:
+        raise RasterFormatError(f"{what}: truncated extent list")
+    extents = struct.unpack_from(f"<{rank}I", blob, start + 8)
+    if any(e == 0 for e in extents):
+        raise RasterFormatError(f"{what}: zero extent in {extents}")
+    count = 1
+    for e in extents:
+        count *= e
+    end = data_start + 4 * count
+    if len(blob) < end:
+        raise RasterFormatError(
+            f"{what}: truncated payload, extents {extents} need {end - start} bytes "
+            f"but {len(blob) - start} remain"
+        )
+    flat = np.frombuffer(blob, dtype="<f4", offset=data_start, count=count)
+    out = flat.astype(np.float64).reshape(extents)
+    if not np.all(np.isfinite(out)):
+        raise RasterFormatError(f"{what}: payload contains non-finite values")
+    return out, end
+
+
+def write_raster(path: str, tensor: np.ndarray) -> None:
+    """Serialize a rank 1..5 finite tensor; float64 values are cast to float32."""
+    _atomic_write(path, _encode_raster(tensor))
 
 
 def read_raster(path: str) -> np.ndarray:
     """Read an RTS1 file back into a float64 array; fails loudly, never partially."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 8:
-        raise RasterFormatError(f"{path}: shorter than any valid header")
-    if blob[:4] != RASTER_MAGIC:
-        raise RasterFormatError(f"{path}: bad magic {blob[:4]!r}")
-    (rank,) = struct.unpack("<I", blob[4:8])
-    if not 1 <= rank <= MAX_RANK:
-        raise RasterFormatError(f"{path}: rank {rank} outside 1..{MAX_RANK}")
-    if len(blob) < 8 + 4 * rank:
-        raise RasterFormatError(f"{path}: truncated extent list")
-    extents = struct.unpack(f"<{rank}I", blob[8 : 8 + 4 * rank])
-    if any(e == 0 for e in extents):
-        raise RasterFormatError(f"{path}: zero extent in {extents}")
-    count = 1
-    for e in extents:
-        count *= e
-    expected = 8 + 4 * rank + 4 * count
-    if len(blob) != expected:
+    out, end = _decode_raster(blob, 0, path)
+    if end != len(blob):
         raise RasterFormatError(
-            f"{path}: payload length mismatch, extents {extents} need "
-            f"{expected} bytes total but file has {len(blob)}"
+            f"{path}: payload length mismatch, extents {out.shape} need "
+            f"{end} bytes total but file has {len(blob)}"
         )
-    flat = np.frombuffer(blob, dtype="<f4", offset=8 + 4 * rank, count=count)
-    out = flat.astype(np.float64).reshape(extents)
-    if not np.all(np.isfinite(out)):
-        raise RasterFormatError(f"{path}: payload contains non-finite values")
     return out
 
 

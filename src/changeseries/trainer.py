@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .changefeat import EdgeSet, build_edge_set
+from .changefeat import EdgeSet, XorChanges, build_edge_set
+from .jsonconfig import JsonConfig
 from .model import ChangeModel, ModelConfig
 from .objective import multitask_loss
 from .rng import SeededRng
@@ -29,7 +30,7 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(JsonConfig):
     lr: float = 1e-4
     weight_decay: float = 0.01
     batch_size: int = 4
@@ -54,39 +55,6 @@ class TrainConfig:
             raise ValueError("base_prob must be > 0")
         if self.t_train < 2:
             raise ValueError("t_train must be >= 2")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "steps_per_epoch": self.steps_per_epoch,
-            "patience": self.patience,
-            "patch_size": self.patch_size,
-            "candidate_crops": self.candidate_crops,
-            "base_prob": self.base_prob,
-            "t_train": self.t_train,
-            "edge_kind": self.edge_kind,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_jsonable(obj: dict) -> "TrainConfig":
-        return TrainConfig(
-            lr=float(obj["lr"]),
-            weight_decay=float(obj["weight_decay"]),
-            batch_size=int(obj["batch_size"]),
-            max_epochs=int(obj["max_epochs"]),
-            steps_per_epoch=int(obj["steps_per_epoch"]),
-            patience=int(obj["patience"]),
-            patch_size=int(obj["patch_size"]),
-            candidate_crops=int(obj["candidate_crops"]),
-            base_prob=float(obj["base_prob"]),
-            t_train=int(obj["t_train"]),
-            edge_kind=str(obj["edge_kind"]),
-            seed=int(obj["seed"]),
-        )
 
 
 @dataclass
@@ -156,14 +124,11 @@ def sample_patch(scene: Scene, cfg: TrainConfig, rng: SeededRng) -> Sample:
     rows = [t - 1 for t in stamps]
     edges = build_edge_set(cfg.edge_kind, len(stamps))
     sl_y, sl_x = slice(y0, y0 + patch), slice(x0, x0 + patch)
-    changes = np.stack(
-        [scene.change_labels[(stamps[t - 1], stamps[k - 1])][sl_y, sl_x] for t, k in edges.edges],
-        axis=0,
-    )
+    seg = scene.seg_labels[rows][:, sl_y, sl_x].copy()
     return Sample(
         images=scene.images[rows][:, :, sl_y, sl_x].copy(),
-        seg=scene.seg_labels[rows][:, sl_y, sl_x].copy(),
-        changes=changes,
+        seg=seg,
+        changes=XorChanges(seg).stack(edges),
         edges=edges,
         timestamps=stamps,
     )
@@ -240,9 +205,7 @@ def _scene_loss(model: ChangeModel, scene: Scene, cfg: TrainConfig) -> float:
     rows = [t - 1 for t in stamps]
     edges = build_edge_set(cfg.edge_kind, len(stamps))
     seg_y = scene.seg_labels[rows]
-    ch_y = np.stack(
-        [scene.change_labels[(stamps[t - 1], stamps[k - 1])] for t, k in edges.edges], axis=0
-    )
+    ch_y = XorChanges(seg_y).stack(edges)
     seg_o, ch_o = model.forward(scene.images[rows], edges)
     total, _, _, _ = multitask_loss(seg_o, seg_y, ch_o, ch_y)
     return total

@@ -1,7 +1,11 @@
 """Encoder/decoder structure, the full model, and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from malformed import CHECKPOINTS, GOOD
 
 from changeseries.backbone import (
     BackboneConfig,
@@ -15,7 +19,7 @@ from changeseries.changefeat import build_edge_set
 from changeseries.model import ChangeModel, ModelConfig
 from changeseries.rng import SeededRng
 from changeseries.temporal import TemporalConfig
-from changeseries.tensor import RasterFormatError
+from changeseries.tensor import RasterFormatError, write_raster
 
 
 def tiny_model_config(tfr=True, seed=0, scales=2, base_width=4, channels=3):
@@ -224,6 +228,43 @@ def test_checkpoint_rejects_junk(tmp_path):
         fh.write(b"NOPE" + b"\x00" * 32)
     with pytest.raises(RasterFormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_records_are_raster_files(tmp_path):
+    model = ChangeModel(tiny_model_config(seed=3))
+    values = model.param_values()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, values, {"note": "bytes"})
+    blob = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    body = blob[8 + hlen :]
+    index = json.loads(blob[8 : 8 + hlen])["index"]
+    assert [e["name"] for e in index] == list(values)
+    offset = 0
+    for entry in index:
+        assert entry["offset"] == offset
+        raster = str(tmp_path / "one.rts")
+        write_raster(raster, values[entry["name"]])
+        record = open(raster, "rb").read()
+        assert body[offset : offset + len(record)] == record
+        offset += len(record)
+    assert offset == len(body)
+
+
+def test_checkpoint_loads_hand_packed_file(tmp_path):
+    path = tmp_path / "good.ckpt"
+    path.write_bytes(GOOD)
+    meta, values = load_checkpoint(str(path))
+    assert set(values) == {"a", "b"}
+    assert np.array_equal(values["a"], np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINTS))
+def test_checkpoint_rejects_malformed(tmp_path, case):
+    path = tmp_path / f"{case}.ckpt"
+    path.write_bytes(CHECKPOINTS[case])
+    with pytest.raises(RasterFormatError):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_rejects_non_finite(tmp_path):

@@ -134,7 +134,7 @@ def test_change_pyramid_backward_scatter():
     rng = SeededRng(5)
     edges = build_edge_set("dense", 4)
     g = [rng.uniform((6, 3, 5, 5)), rng.uniform((6, 5, 2, 2))]
-    back = change_pyramid_backward(g, edges, 4)
+    back = change_pyramid_backward(g, edges)
     for s in range(2):
         expected = np.zeros((4,) + g[s].shape[1:])
         for n, (t, k) in enumerate(edges.edges):
@@ -151,7 +151,7 @@ def test_change_pyramid_gradient_consistency():
     x = [rng.uniform((5, 2, 4, 4))]
     g = [rng.uniform((len(edges), 2, 4, 4))]
     fwd = change_pyramid(x, edges)
-    back = change_pyramid_backward(g, edges, 5)
+    back = change_pyramid_backward(g, edges)
     lhs = float((fwd[0] * g[0]).sum())
     rhs = float((x[0] * back[0]).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)

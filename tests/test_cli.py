@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from malformed import CHECKPOINTS, META, MODEL_CONFIGS, pack
 
 from changeseries import cli
+from changeseries.changefeat import build_edge_set
 from changeseries.synthgen import SceneSpec, generate
 from changeseries.tensor import read_raster
 
@@ -63,6 +66,11 @@ def read_manifest(run_dir):
 def file_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 ## ---------------------------------------------------------------- synth-gen
@@ -179,6 +187,31 @@ def test_infer_missing_checkpoint_fails(tmp_path, clean_scene_dir, capsys):
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+## checkpoints whose records load but whose meta cannot rebuild a model
+BAD_META = {
+    **{f"model_{name}": {"model": obj} for name, obj in MODEL_CONFIGS.items()},
+    "meta_not_object": 5,
+    "no_model": {},
+    "train_missing_key": dict(META, train={}),
+}
+INFER_CASES = {
+    **CHECKPOINTS,
+    **{name: pack({"meta": meta, "index": []}, b"") for name, meta in BAD_META.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INFER_CASES))
+def test_infer_malformed_checkpoint_fails_cleanly(tmp_path, clean_scene_dir, capsys, case):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(INFER_CASES[case])
+    out = tmp_path / "out"
+    argv = ["infer", "--checkpoint", ckpt,
+            "--images", os.path.join(clean_scene_dir, "images.rts"), "--out", out]
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
 
 
 ## ----------------------------------------------------------------- integrate
@@ -304,6 +337,50 @@ def test_eval_rejects_malformed_edge_file(tmp_path, clean_scene_dir, capsys):
     assert "edge set" in capsys.readouterr().err
 
 
+def _drop(obj, key):
+    del obj[key]
+
+
+## name -> edit of a copied scene manifest that load_scene_dir must refuse
+BAD_MANIFESTS = {
+    "spec_list": lambda m: m["config"].update(spec=[m["config"]["spec"]]),
+    "spec_missing_key": lambda m: _drop(m["config"]["spec"], "t"),
+    "spec_wrong_type": lambda m: m["config"]["spec"].update(height="16"),
+    "spec_bad_value": lambda m: m["config"]["spec"].update(t=1),
+    "config_not_object": lambda m: m.update(config=5),
+    "outputs_missing": lambda m: _drop(m, "outputs"),
+    "output_name_not_string": lambda m: m["outputs"].update(images=3),
+    "manifest_array": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_eval_malformed_scene_manifest_fails_cleanly(tmp_path, clean_scene_dir, capsys, case):
+    scene = tmp_path / "scene"
+    shutil.copytree(clean_scene_dir, scene)
+    manifest = read_manifest(scene)
+    edit = BAD_MANIFESTS[case]
+    if edit is None:
+        manifest = [manifest]
+    else:
+        edit(manifest)
+    (scene / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / "rep"
+    argv = ["eval", "--pred-states", scene / "seg_labels.rts", "--labels", scene, "--out", out]
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_scene_dir_ignores_stored_change_labels(tmp_path, clean_scene_dir):
+    scene = tmp_path / "scene"
+    shutil.copytree(clean_scene_dir, scene)
+    os.unlink(scene / "change_labels.rts")
+    loaded = cli.load_scene_dir(str(scene))
+    stored = read_raster(os.path.join(clean_scene_dir, "change_labels.rts"))
+    assert np.array_equal(loaded.change_stack(build_edge_set("dense", 3)), stored)
+
+
 ## ------------------------------------------------------------------- run dir
 
 
@@ -319,6 +396,29 @@ def test_missing_out_and_env_var_fails(monkeypatch, capsys):
     argv = ["synth-gen", "--seed", "5", *SCENE_FLAGS]
     assert run_cli(argv) == 1
     assert cli.ENV_OUT in capsys.readouterr().err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the output directory was resolved")
+
+
+@pytest.mark.parametrize("command", ["synth-gen", "train", "infer", "integrate", "eval", "ablate"])
+def test_missing_out_fails_before_any_work(monkeypatch, capsys, clean_scene_dir, command):
+    scene = clean_scene_dir
+    argv, first_work = {
+        "synth-gen": (["synth-gen", *SCENE_FLAGS], "generate"),
+        "train": (["train", "--scenes", scene, "--val-scenes", scene], "train"),
+        "infer": (["infer", "--checkpoint", "m.ckpt", "--images", "i.rts"], "load_checkpoint"),
+        "integrate": (["integrate", "--seg-probs", "s.rts", "--mode", "degenerate"],
+                      "read_raster"),
+        "eval": (["eval", "--pred-states", "s.rts", "--labels", "l.rts"], "read_raster"),
+        "ablate": (["ablate", "--config", "grid.json"], "_load_json"),
+    }[command]
+    monkeypatch.delenv(cli.ENV_OUT, raising=False)
+    monkeypatch.setattr(cli, first_work, _refuse)
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and cli.ENV_OUT in err
 
 
 def test_run_dir_removes_partial_outputs_on_failure(tmp_path):

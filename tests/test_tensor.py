@@ -5,52 +5,15 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from changeseries.rng import SeededRng
 from changeseries.tensor import (
     RASTER_MAGIC,
     RasterFormatError,
     export_pgm,
-    flatten_spatial,
     read_raster,
-    unflatten_spatial,
     write_raster,
 )
-
-
-def test_flatten_matches_index_formula():
-    rng = SeededRng(1)
-    x = rng.uniform((3, 4, 5, 6))
-    flat = flatten_spatial(x)
-    assert flat.shape == (3, 4, 30)
-    for t in (0, 2):
-        for d in (0, 3):
-            for i in (0, 4):
-                for j in (0, 5):
-                    assert flat[t, d, i * 6 + j] == x[t, d, i, j]
-    assert np.array_equal(unflatten_spatial(flat, 5, 6), x)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_flatten_unflatten_bijection(t, d, h, w, seed):
-    x = SeededRng(seed).uniform((t, d, h, w))
-    assert np.array_equal(unflatten_spatial(flatten_spatial(x), h, w), x)
-
-
-def test_flatten_rejects_wrong_rank():
-    with pytest.raises(ValueError):
-        flatten_spatial(np.zeros((2, 3, 4)))
-    with pytest.raises(ValueError):
-        unflatten_spatial(np.zeros((2, 3, 5)), 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -34,24 +34,19 @@ def _expected_edges(kind: str, t_len: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class EdgeSet:
-    """Sorted, duplicate-free timestamp pairs of one kind over a length-T series."""
+    """Sorted, duplicate-free timestamp pairs of one kind over a length-T series.
+
+    `edges` is derived from (kind, t_len) on construction.
+    """
 
     kind: str
     t_len: int
-    edges: tuple = field(default=())
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t_len < 1:
             raise ValueError("series length must be >= 1")
-        expected = tuple(_expected_edges(self.kind, self.t_len)) if self.t_len >= 2 else ()
-        if self.t_len == 1:
-            if self.kind == "cyclic":
-                raise ValueError("cyclic edges undefined for a single timestamp")
-            expected = ()
-        if tuple(self.edges) != expected:
-            raise ValueError(
-                f"edge list {self.edges} does not match {self.kind} over T={self.t_len}"
-            )
+        object.__setattr__(self, "edges", tuple(_expected_edges(self.kind, self.t_len)))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -72,7 +67,12 @@ class EdgeSet:
 
     @staticmethod
     def from_jsonable(obj: dict) -> "EdgeSet":
-        return EdgeSet(obj["kind"], int(obj["t"]), tuple(tuple(e) for e in obj["edges"]))
+        """The edge set a to_jsonable dict names; its stored list must match."""
+        edges = EdgeSet(obj["kind"], int(obj["t"]))
+        stored = tuple(tuple(e) for e in obj["edges"])
+        if stored != edges.edges:
+            raise ValueError(f"edge list {stored} does not match {edges.kind} over T={edges.t_len}")
+        return edges
 
 
 def build_edge_set(kind: str, t_len: int) -> EdgeSet:
@@ -84,7 +84,7 @@ def build_edge_set(kind: str, t_len: int) -> EdgeSet:
     """
     if t_len < 2:
         raise ValueError("edge sets need at least 2 timestamps")
-    return EdgeSet(kind, t_len, tuple(_expected_edges(kind, t_len)))
+    return EdgeSet(kind, t_len)
 
 
 class XorChanges(Mapping):

@@ -320,7 +320,7 @@ def _cmd_integrate(args) -> int:
         change_files = {}
         for t, k in series.edges.edges if series.edges is not None else ():
             name = f"change_{t}_{k}.pgm"
-            export_pgm(run.path(name), series.derived_change(t, k).astype(np.float64))
+            export_pgm(run.path(name), series[(t, k)].astype(np.float64))
             change_files[f"{t},{k}"] = name
         summary = {
             "mode": series.mode,
@@ -466,7 +466,13 @@ def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
 def _cmd_ablate(args) -> int:
     run = RunDir(args.out, "ablate")
     cfg = _load_json(args.config)
+    for key in ("grid", "model", "train", "scenes"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise CliError(f"{args.config}: section {key!r} must be a JSON object")
     grid = cfg.get("grid", {})
+    for key in ("mti_modes", "t", "loss_edges", "tfr"):
+        if not isinstance(grid.get(key, []), list):
+            raise CliError(f"{args.config}: grid {key!r} must be a JSON list")
     modes = grid.get("mti_modes", ["degenerate", "dense"])
     for mode in modes:
         if mode not in MODES:

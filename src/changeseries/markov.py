@@ -1,10 +1,12 @@
 """Per-pixel pairwise Markov network MAP fusion of probabilistic outputs.
 
-Every pixel owns an independent binary network over the T timestamps:
-node potentials come from segmentation probabilities, (1-p, p); each edge
-(t, k) carries a 2x2 table from its change probability c, c where the two
-states differ and 1-c where they agree.  Decoding maximizes the product of
-potentials, computed in log space.
+Every pixel owns an independent binary network over the T timestamps,
+held as log-potentials: each node scores its two states with
+(log(1-p), log p) from the segmentation probability p, and each edge
+(t, k) scores its two states with log(1-c) where they agree and log c
+where they differ, from the change probability c.  Decoding maximizes the
+sum of log-potentials, i.e. the product of potentials.  integrate
+tabulates and decodes the raster one tile at a time.
 
 Two exact decoders:
 
@@ -53,11 +55,13 @@ MODES = ("degenerate", "adjacent", "cyclic", "dense")
 
 @dataclass
 class PixelPotentials:
-    """Raster of per-pixel potential tables.
+    """Raster of per-pixel log-potential tables.
 
-    node: (T, 2, H, W) positive values, node[t, s] scores state s.
-    edge: (N, 4, H, W) positive values, cells ordered (0,0),(0,1),(1,0),(1,1)
-    over (state_t, state_k).
+    node: (T, 2, H, W), node[t, s] scores state s at timestamp t.
+    edge: (N, 2, H, W), edge[n, d] scores edge n's two states agreeing
+    (d = 0) or differing (d = 1), so cell d = x_t XOR x_k.
+    Every value must be finite; build_potentials guarantees it by clamping.
+    integrate builds one per tile: node (T, 2, 1, n), edge (N, 2, 1, n).
     """
 
     node: np.ndarray
@@ -67,23 +71,22 @@ class PixelPotentials:
     def __post_init__(self):
         if self.node.ndim != 4 or self.node.shape[1] != 2:
             raise ValueError("node tables must have shape (T, 2, H, W)")
-        if self.edge.ndim != 4 or self.edge.shape[1] != 4:
-            raise ValueError("edge tables must have shape (N, 4, H, W)")
+        if self.edge.ndim != 4 or self.edge.shape[1] != 2:
+            raise ValueError("edge tables must have shape (N, 2, H, W)")
+        if self.node.shape[2:] != self.edge.shape[2:]:
+            raise ValueError("node and edge tables must cover the same pixel extent")
         if self.node.shape[0] != self.edges.t_len:
             raise ValueError("node table count does not match the edge set's T")
         if self.edge.shape[0] != len(self.edges):
             raise ValueError("edge table count does not match the edge set")
-        if self.node.min() <= 0 or self.edge.min() <= 0:
-            raise ValueError("potentials must be strictly positive")
-        ## a NaN anywhere makes the maximum NaN
-        if not (np.isfinite(self.node.max()) and np.isfinite(self.edge.max())):
-            raise ValueError("potentials must be finite")
+        if not (np.isfinite(self.node).all() and np.isfinite(self.edge).all()):
+            raise ValueError("log-potentials must be finite")
 
 
 def build_potentials(
     seg_probs: np.ndarray, ch_probs: np.ndarray, edges: EdgeSet
 ) -> PixelPotentials:
-    """Clamp probabilities to [PROB_EPS, 1 - PROB_EPS] and tabulate potentials."""
+    """Clamp probabilities to [PROB_EPS, 1 - PROB_EPS] and tabulate their logs."""
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     ch_probs = np.asarray(ch_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -95,16 +98,18 @@ def build_potentials(
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
     p = np.clip(seg_probs, lo, hi)
     c = np.clip(ch_probs, lo, hi)
-    node = np.stack([1.0 - p, p], axis=1)
-    edge = np.stack([1.0 - c, c, c, 1.0 - c], axis=1)
+    node = np.log(np.stack([1.0 - p, p], axis=1))
+    edge = np.log(np.stack([1.0 - c, c], axis=1))
     return PixelPotentials(node=node, edge=edge, edges=edges)
 
 
 def _flatten(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     t, _, h, w = pot.node.shape
-    node = np.log(pot.node.reshape(t, 2, h * w))
-    edge = np.log(pot.edge.reshape(pot.edge.shape[0], 4, h * w))
-    return node, edge, (h, w)
+    return pot.node.reshape(t, 2, h * w), pot.edge.reshape(len(pot.edges), 2, h * w), (h, w)
+
+
+## _XOR[a, b] is the edge cell of states (a, b): 0 where they agree
+_XOR = np.array([[0, 1], [1, 0]])
 
 
 def _canonical_score(node, edge, pairs, states, cols) -> np.ndarray:
@@ -117,12 +122,12 @@ def _canonical_score(node, edge, pairs, states, cols) -> np.ndarray:
     for t in range(len(states)):
         node_sum = node_sum + node[t, states[t], cols]
     for n, (t, k) in enumerate(pairs):
-        edge_sum = edge_sum + edge[n, 2 * states[t] + states[k], cols]
+        edge_sum = edge_sum + edge[n, states[t] ^ states[k], cols]
     return node_sum + edge_sum
 
 
 def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:
-    """Max-product over a chain: node (L, 2, m) and edge (L-1, 4, m) log tables.
+    """Max-product over a chain: node (L, 2, m) and edge (L-1, 2, m) log tables.
 
     Runs the recursion from the last node backwards, then reconstructs
     forward so ties resolve toward the lexicographically smallest states.
@@ -133,7 +138,7 @@ def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:
     beta = node[t_len - 1]
     ptrs = []
     for t in range(t_len - 2, -1, -1):
-        cand = edge[t].reshape(2, 2, m) + beta[None, :, :]
+        cand = edge[t][_XOR] + beta[None, :, :]
         ## best successor state; state 0 on ties
         ptrs.append(cand[:, 1] > cand[:, 0])
         beta = node[t] + np.maximum(cand[:, 0], cand[:, 1])
@@ -157,9 +162,9 @@ def map_decode_chain(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     Returns (states (T, H, W) uint8, per-pixel log-score (H, W)).
     """
     t_len = pot.node.shape[0]
-    listed = list(pot.edges.edges)
-    adjacent = [(t, t + 1) for t in range(1, t_len)]
-    cyclic = t_len >= 3 and listed == sorted(adjacent + [(1, t_len)])
+    listed = pot.edges.edges
+    adjacent = EdgeSet("adjacent", t_len).edges
+    cyclic = t_len >= 3 and listed == EdgeSet("cyclic", t_len).edges
     if listed != adjacent and not cyclic:
         raise ValueError("chain decoding requires the adjacent or the cyclic edge set")
     node, edge, (h, w) = _flatten(pot)
@@ -171,8 +176,8 @@ def map_decode_chain(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
         branches = []
         for x1 in (0, 1):
             unary = node[1:].copy()
-            unary[0] += first[2 * x1 : 2 * x1 + 2]
-            unary[-1] += wrap[2 * x1 : 2 * x1 + 2]
+            unary[0] += first[_XOR[x1]]
+            unary[-1] += wrap[_XOR[x1]]
             fixed = np.full((1, h * w), x1, dtype=np.intp)
             branch = np.concatenate([fixed, _sweep(unary, edge[rows[1:]])])
             branches.append((branch, _canonical_score(node, edge, pairs, branch, cols)))
@@ -198,7 +203,7 @@ def _assignment_features(start: int, stop: int, t_len: int, tt, kk) -> np.ndarra
     return np.concatenate([x, x[:, tt] * x[:, kk]], axis=1)
 
 
-def map_decode_general(pot: PixelPotentials, t_max: int = T_MAX) -> tuple[np.ndarray, np.ndarray]:
+def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     """Exact MAP by scoring every assignment; works for any edge set.
 
     Scores come from one matrix product per block of at most ASSIGN_BLOCK
@@ -207,8 +212,8 @@ def map_decode_general(pot: PixelPotentials, t_max: int = T_MAX) -> tuple[np.nda
     canonically and the first maximum in assignment order wins.
     """
     t_len = pot.node.shape[0]
-    if t_len > t_max:
-        raise ValueError(f"series length {t_len} exceeds the enumeration cap {t_max}")
+    if t_len > T_MAX:
+        raise ValueError(f"series length {t_len} exceeds the enumeration cap {T_MAX}")
     node, edge, (h, w) = _flatten(pot)
     m = h * w
     pairs = pot.edges.index_pairs
@@ -217,12 +222,13 @@ def map_decode_general(pot: PixelPotentials, t_max: int = T_MAX) -> tuple[np.nda
 
     ## pseudo-boolean coefficients [h; q], (T + N, m); the constant C drops
     h_coef = node[:, 1] - node[:, 0]
+    differ = edge[:, 1] - edge[:, 0]
     for n, (t, k) in enumerate(pairs):
-        h_coef[t] += edge[n, 2] - edge[n, 0]
-        h_coef[k] += edge[n, 1] - edge[n, 0]
-    q_coef = edge[:, 0] - edge[:, 1] - edge[:, 2] + edge[:, 3]
-    coef = np.concatenate([h_coef, q_coef])
-    tol = TIE_RTOL * (1.0 + np.abs(node).sum(axis=(0, 1)) + np.abs(edge).sum(axis=(0, 1)))
+        h_coef[t] += differ[n]
+        h_coef[k] += differ[n]
+    coef = np.concatenate([h_coef, -2.0 * differ])
+    ## each edge's two cells count twice: once per state pair they score
+    tol = TIE_RTOL * (1.0 + np.abs(node).sum(axis=(0, 1)) + 2.0 * np.abs(edge).sum(axis=(0, 1)))
     shifts = (t_len - 1 - np.arange(t_len))[:, None]
 
     n_assign = 2**t_len
@@ -258,7 +264,7 @@ def map_decode_general(pot: PixelPotentials, t_max: int = T_MAX) -> tuple[np.nda
 
 @dataclass
 class MapSeries:
-    """Fused binary building maps plus the change maps they induce."""
+    """Fused binary building maps; series[(t, k)] is their XOR change map."""
 
     states: np.ndarray  # (T, H, W) uint8
     mode: str
@@ -269,19 +275,8 @@ class MapSeries:
     def t_len(self) -> int:
         return int(self.states.shape[0])
 
-    def derived_change(self, t: int, k: int) -> np.ndarray:
-        """Binary change map between timestamps t < k (1-based), by XOR."""
-        if not 1 <= t < k <= self.t_len:
-            raise ValueError(f"need 1 <= t < k <= {self.t_len}, got ({t}, {k})")
-        return XorChanges(self.states)[(t, k)]
-
     def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
-        return self.derived_change(*pair)
-
-    def change_maps(self) -> dict:
-        if self.edges is None:
-            return {}
-        return {pair: self.derived_change(*pair) for pair in self.edges.edges}
+        return XorChanges(self.states)[pair]
 
 
 def _degenerate_series(seg_probs: np.ndarray) -> MapSeries:
@@ -305,8 +300,9 @@ def integrate(
     degenerate mode ignores change evidence entirely and thresholds the
     segmentation probabilities at 0.5.  The flattened raster is decoded in
     tiles of TILE_PIXELS pixels, inline for one worker or on a pool of at
-    most one thread per tile; pixels are independent, so results are
-    identical for every worker count.
+    most one thread per tile.  Each tile's log tables are built and checked
+    just before it is decoded, so only a tile's tables exist at a time.
+    Pixels are independent, so results are identical for every worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -322,6 +318,8 @@ def integrate(
         raise ValueError(f"mode {mode!r} needs change probabilities and their edge set")
     ch_probs = np.asarray(ch_probs, dtype=np.float64)
     t_len, h, w = seg_probs.shape
+    if ch_probs.shape != (len(available), h, w):
+        raise ValueError(f"ch_probs has shape {ch_probs.shape}, expected {(len(available), h, w)}")
     wanted = build_edge_set(mode, t_len)
     try:
         rows = [available.index_of(pair) for pair in wanted.edges]
@@ -329,24 +327,19 @@ def integrate(
         raise ValueError(
             f"mode {mode!r} requests edges beyond the available set: {exc}"
         ) from exc
-    pot = build_potentials(seg_probs, ch_probs[rows], wanted)
 
+    ## the raster as one row of m pixels; tiles are column ranges of it
     m = h * w
-    n_edges = len(wanted)
-    node = pot.node.reshape(t_len, 2, m)
-    edge = pot.edge.reshape(n_edges, 4, m)
+    seg_row = seg_probs.reshape(t_len, 1, m)
+    ch_row = ch_probs.reshape(len(available), 1, m)
     states = np.empty((t_len, m), dtype=np.uint8)
     score = np.empty(m)
     starts = range(0, m, TILE_PIXELS)
 
     def run(lo: int) -> None:
         hi = min(lo + TILE_PIXELS, m)
-        tile = PixelPotentials(
-            node=node[:, :, lo:hi].reshape(t_len, 2, 1, hi - lo),
-            edge=edge[:, :, lo:hi].reshape(n_edges, 4, 1, hi - lo),
-            edges=wanted,
-        )
-        ## looked up per call, so wrappers installed on the module see it
+        ## looked up per call, so wrappers installed on the module see them
+        tile = build_potentials(seg_row[:, :, lo:hi], ch_row[rows, :, lo:hi], wanted)
         decode = map_decode_general if mode == "dense" else map_decode_chain
         st, sc = decode(tile)
         states[:, lo:hi] = st.reshape(t_len, hi - lo)

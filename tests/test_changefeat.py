@@ -54,10 +54,14 @@ def test_build_rejects_bad_inputs():
 
 
 def test_edge_set_rejects_non_canonical_lists():
+    ## the pair list is derived from (kind, t); a stored one must match it
     with pytest.raises(ValueError):
-        EdgeSet("adjacent", 3, ((2, 3), (1, 2)))
+        EdgeSet.from_jsonable({"kind": "adjacent", "t": 3, "edges": [[2, 3], [1, 2]]})
     with pytest.raises(ValueError):
-        EdgeSet("dense", 3, ((1, 2), (2, 3)))
+        EdgeSet.from_jsonable({"kind": "dense", "t": 3, "edges": [[1, 2], [2, 3]]})
+    assert EdgeSet("dense", 3).edges == ((1, 2), (1, 3), (2, 3))
+    with pytest.raises(ValueError):
+        EdgeSet("cyclic", 1)
 
 
 def test_index_of_and_index_pairs():

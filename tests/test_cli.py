@@ -12,7 +12,7 @@ from malformed import CHECKPOINTS, META, MODEL_CONFIGS, pack
 from changeseries import cli
 from changeseries.changefeat import build_edge_set
 from changeseries.synthgen import SceneSpec, generate
-from changeseries.tensor import read_raster
+from changeseries.tensor import read_raster, write_raster
 
 SCENE_FLAGS = [
     "--t", "3", "--height", "16", "--width", "16", "--buildings", "4",
@@ -262,6 +262,22 @@ def test_integrate_dense_requires_change_inputs(tmp_path, noisy_scene_dir, capsy
             "--mode", "dense", "--out", out]
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_integrate_rejects_change_rows_of_another_extent(tmp_path, capsys):
+    ## (3, 4, 6) segmentation against (2, 6, 4) change rows: the pixel
+    ## counts match, the rasters do not
+    write_raster(tmp_path / "seg.rts", np.full((3, 4, 6), 0.25))
+    write_raster(tmp_path / "ch.rts", np.full((2, 6, 4), 0.75))
+    (tmp_path / "edges.json").write_text(
+        json.dumps(build_edge_set("adjacent", 3).to_jsonable()), encoding="utf-8"
+    )
+    out = tmp_path / "fused"
+    argv = ["integrate", "--seg-probs", tmp_path / "seg.rts", "--ch-probs", tmp_path / "ch.rts",
+            "--edges", tmp_path / "edges.json", "--mode", "adjacent", "--out", out]
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys)
     assert not out.exists()
 
 
@@ -533,14 +549,32 @@ def test_ablate_checkpoint_mode(tmp_path, train_run_dir, capsys):
     assert {r["mode"] for r in rows} == {"degenerate", "adjacent"}
 
 
-def test_ablate_rejects_unknown_mode(tmp_path, capsys):
+## name -> (sections replacing the valid config's, text the error must name)
+ABLATE_CONFIGS = {
+    "unknown_mode": ({"grid": {"mti_modes": ["sideways"]}}, "sideways"),
+    "grid_not_object": ({"grid": 5}, "'grid'"),
+    "modes_not_list": ({"grid": {"mti_modes": 5}}, "'mti_modes'"),
+    "t_not_list": ({"grid": {"t": 5}}, "'t'"),
+    "model_not_object": ({"model": 5}, "'model'"),
+    "train_not_object": ({"train": [1e-3]}, "'train'"),
+    "scenes_not_object": ({"scenes": "scene0"}, "'scenes'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABLATE_CONFIGS))
+def test_ablate_rejects_malformed_config(tmp_path, capsys, case):
+    sections, text = ABLATE_CONFIGS[case]
     config = {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
                          "val_seeds": [1]},
-              "grid": {"mti_modes": ["sideways"]}}
+              **sections}
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    assert run_cli(["ablate", "--config", cfg_path, "--out", tmp_path / "out"]) == 1
-    assert "sideways" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert run_cli(["ablate", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert text in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -59,14 +59,12 @@ def test_build_potentials_values():
     seg, ch, edges = random_instance(1, 3, "dense")
     pot = build_potentials(seg, ch, edges)
     assert pot.node.shape == (3, 2, 4, 5)
-    assert pot.edge.shape == (3, 4, 4, 5)
-    assert np.array_equal(pot.node[:, 0], 1.0 - seg)
-    assert np.array_equal(pot.node[:, 1], seg)
-    ## edge cells in state order (0,0), (0,1), (1,0), (1,1)
-    assert np.array_equal(pot.edge[:, 0], 1.0 - ch)
-    assert np.array_equal(pot.edge[:, 1], ch)
-    assert np.array_equal(pot.edge[:, 2], ch)
-    assert np.array_equal(pot.edge[:, 3], 1.0 - ch)
+    assert pot.edge.shape == (3, 2, 4, 5)
+    assert np.array_equal(pot.node[:, 0], np.log(1.0 - seg))
+    assert np.array_equal(pot.node[:, 1], np.log(seg))
+    ## edge cells: the pair's states agree, then differ
+    assert np.array_equal(pot.edge[:, 0], np.log(1.0 - ch))
+    assert np.array_equal(pot.edge[:, 1], np.log(ch))
 
 
 def test_build_potentials_clamps_extremes():
@@ -74,8 +72,10 @@ def test_build_potentials_clamps_extremes():
     seg = np.array([[[0.0]], [[1.0]]])
     ch = np.array([[[1.0]]])
     pot = build_potentials(seg, ch, edges)
-    assert pot.node.min() >= PROB_EPS
-    assert pot.edge.min() >= PROB_EPS
+    assert pot.node.min() >= math.log(PROB_EPS)
+    assert pot.edge.min() >= math.log(PROB_EPS)
+    assert pot.node.max() <= math.log1p(-PROB_EPS)
+    assert pot.edge.max() <= math.log1p(-PROB_EPS)
 
 
 def test_potentials_validation():
@@ -84,12 +84,26 @@ def test_potentials_validation():
         build_potentials(np.full((2, 2, 2), 0.5), np.full((2, 2, 2), 0.5), edges)
     with pytest.raises(ValueError):
         build_potentials(np.full((3, 2, 2), 0.5), np.full((1, 2, 2), 0.5), edges)
+    ## log tables may hold any finite value, but not NaN or infinities
+    edge = np.full((2, 2, 2, 2), -1.0)
+    PixelPotentials(node=np.full((3, 2, 2, 2), 5.0), edge=edge, edges=edges)
+    for bad in (np.nan, np.inf, -np.inf):
+        node = np.full((3, 2, 2, 2), -1.0)
+        node[2, 1, 1, 1] = bad
+        with pytest.raises(ValueError):
+            PixelPotentials(node=node, edge=edge, edges=edges)
+        with pytest.raises(ValueError):
+            PixelPotentials(node=np.zeros_like(node), edge=np.full_like(edge, bad), edges=edges)
+    ## the old four-cell edge layout is refused
     with pytest.raises(ValueError):
-        PixelPotentials(
-            node=np.full((3, 2, 2, 2), -1.0),
-            edge=np.full((2, 4, 2, 2), 0.5),
-            edges=edges,
-        )
+        PixelPotentials(node=np.zeros((3, 2, 2, 2)), edge=np.zeros((2, 4, 2, 2)), edges=edges)
+    ## node and edge tables over different pixel extents, even of equal count
+    with pytest.raises(ValueError):
+        PixelPotentials(node=np.zeros((3, 2, 4, 6)), edge=np.zeros((2, 2, 6, 4)), edges=edges)
+    with pytest.raises(ValueError):
+        build_potentials(np.full((3, 4, 6), 0.5), np.full((2, 6, 4), 0.5), edges)
+    with pytest.raises(ValueError, match="finite"):
+        build_potentials(np.full((3, 2, 2), np.nan), np.full((2, 2, 2), 0.5), edges)
 
 
 def test_chain_hand_case_edge_pulls_weak_node_up():
@@ -266,13 +280,16 @@ def test_uniform_edges_reduce_to_thresholding():
 
 
 def test_decode_scale_invariance():
-    ## multiplying any pixel's potentials by constants shifts every
-    ## assignment's log-score equally, leaving the argmax unchanged
+    ## adding a per-pixel constant to each table (scaling the potentials)
+    ## shifts every assignment's log-score equally, leaving the argmax
     seg, ch, edges = random_instance(7, 4, "dense")
     pot = build_potentials(seg, ch, edges)
-    scaled = PixelPotentials(node=pot.node * 3.0, edge=pot.edge * 0.25, edges=edges)
+    rng = SeededRng(70)
+    shift_node = rng.uniform((4, 1, 4, 5)) * 6.0 - 3.0
+    shift_edge = rng.uniform((len(edges), 1, 4, 5)) * 6.0 - 3.0
+    shifted = PixelPotentials(node=pot.node + shift_node, edge=pot.edge + shift_edge, edges=edges)
     a, _ = map_decode_general(pot)
-    b, _ = map_decode_general(scaled)
+    b, _ = map_decode_general(shifted)
     assert np.array_equal(a, b)
 
 
@@ -305,7 +322,8 @@ def test_integrate_degenerate_equals_threshold():
     assert np.array_equal(series.states, threshold_probs(seg))
     assert series.edges is None
     assert series.mode == "degenerate"
-    assert series.change_maps() == {}
+    want = np.logical_xor(series.states[0], series.states[4])
+    assert np.array_equal(series[(1, 5)], want)
 
 
 def test_integrate_adjacent_subset_of_dense_rows():
@@ -328,6 +346,25 @@ def test_integrate_rejects_missing_edges():
         integrate(seg, ch, adjacent, "diagonal")
     with pytest.raises(ValueError):
         integrate(seg, ch, adjacent, "adjacent", workers=0)
+    ## change rows over another extent, with the same pixel count
+    seg, ch, adjacent = random_instance(14, 3, "adjacent", h=4, w=6)
+    with pytest.raises(ValueError):
+        integrate(seg, ch.reshape(2, 6, 4), adjacent, "adjacent")
+    ## change rows that the available edge set does not describe
+    with pytest.raises(ValueError):
+        integrate(seg, ch[:1], adjacent, "adjacent")
+
+
+@pytest.mark.parametrize("table", ["seg", "ch"])
+def test_integrate_nan_in_last_tile_raises(table):
+    ## 67 x 67 pixels: the NaN sits in the second, partial tile, which a
+    ## worker thread builds and checks
+    seg, ch, edges = random_instance(23, 4, "dense", h=67, w=67)
+    (seg if table == "seg" else ch)[-1, -1, -1] = np.nan
+    for mode in ("adjacent", "dense"):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(seg, ch, edges, mode, workers=workers)
 
 
 def test_integrate_noise_free_inputs_recover_labels():
@@ -408,26 +445,22 @@ def test_map_series_xor_and_lookup():
         edges=build_edge_set("dense", 3),
         map_score=np.zeros((2, 2)),
     )
-    assert np.array_equal(series.derived_change(1, 3), np.logical_xor(states[0], states[2]))
+    assert np.array_equal(series[(1, 3)], np.logical_xor(states[0], states[2]))
     assert np.array_equal(series[(1, 2)], np.logical_xor(states[0], states[1]))
-    assert set(series.change_maps()) == set(build_edge_set("dense", 3).edges)
-    with pytest.raises(ValueError):
-        series.derived_change(2, 2)
-    with pytest.raises(ValueError):
-        series.derived_change(0, 1)
+    for pair in ((2, 2), (0, 1), (3, 4)):
+        with pytest.raises(KeyError):
+            series[pair]
 
 
 def test_decoded_scores_match_assignment_log_probability():
     seg, ch, edges = random_instance(17, 3, "cyclic")
     pot = build_potentials(seg, ch, edges)
     states, scores = map_decode_general(pot)
-    node = np.log(pot.node)
-    edge = np.log(pot.edge)
     h, w = scores.shape
     for i in range(h):
         for j in range(w):
-            s = sum(node[t, states[t, i, j], i, j] for t in range(3))
+            s = sum(pot.node[t, states[t, i, j], i, j] for t in range(3))
             for n, (t, k) in enumerate(edges.index_pairs):
-                cell = 2 * states[t, i, j] + states[k, i, j]
-                s += edge[n, cell, i, j]
+                cell = int(states[t, i, j] != states[k, i, j])
+                s += pot.edge[n, cell, i, j]
             assert scores[i, j] == pytest.approx(s, rel=1e-12)

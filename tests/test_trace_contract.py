@@ -37,3 +37,26 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert (backbone.load_checkpoint, layers.Conv2d.forward) == originals
+
+
+def test_tracer_counts_each_fusion_tile(monkeypatch):
+    ## markov.assignments_scored sums pixels x 2^T over the decoder's
+    ## PixelPotentials argument, so every tile must reach it as its own call
+    from changeseries import markov
+    from changeseries.changefeat import build_edge_set
+    from changeseries.rng import SeededRng
+
+    spans = load_spans()
+    monkeypatch.setattr(markov, "TILE_PIXELS", 40)
+    t_len, h, w = 6, 7, 9  # 63 pixels: one full tile and one partial tile
+    edges = build_edge_set("dense", t_len)
+    rng = SeededRng(5)
+    seg, ch = rng.uniform((t_len, h, w)), rng.uniform((len(edges), h, w))
+    tracer = spans.Tracer()
+    with tracer.tracing("pass"):
+        markov.integrate(seg, ch, edges, "dense", workers=2)
+    rows = spans.summarize(tracer.spans, passes=1, setups=0)
+    assert rows["markov.integrate"]["calls"] == 1
+    assert rows["markov.build_potentials"]["calls"] == 2
+    assert rows["markov.map_decode_general"]["calls"] == 2
+    assert rows["markov.map_decode_general"]["assignments"] == h * w * 2**t_len

@@ -413,6 +413,19 @@ def _cmd_eval(args) -> int:
 ## -------------------------------------------------------------------- ablate
 
 
+_SCENE_LISTS = {"train_seeds": int, "val_seeds": int, "train_dirs": str, "val_dirs": str}
+
+
+def _check_scenes_section(path: str, obj: dict) -> None:
+    if not isinstance(obj.get("spec", {}), dict):
+        raise CliError(f"{path}: scenes 'spec' must be a JSON object")
+    for key, kind in _SCENE_LISTS.items():
+        value = obj.get(key, [])
+        if not (isinstance(value, list) and all(type(v) is kind for v in value)):
+            noun = "integers" if kind is int else "strings"
+            raise CliError(f"{path}: scenes {key!r} must be a JSON list of {noun}")
+
+
 def _scenes_from_config(obj: dict, t_len: int) -> tuple[list, list]:
     if "train_dirs" in obj:
         return (
@@ -473,6 +486,9 @@ def _cmd_ablate(args) -> int:
     for key in ("mti_modes", "t", "loss_edges", "tfr"):
         if not isinstance(grid.get(key, []), list):
             raise CliError(f"{args.config}: grid {key!r} must be a JSON list")
+    if not all(isinstance(flag, bool) for flag in grid.get("tfr", [])):
+        raise CliError(f"{args.config}: grid 'tfr' entries must be true or false")
+    _check_scenes_section(args.config, cfg.get("scenes", {}))
     modes = grid.get("mti_modes", ["degenerate", "dense"])
     for mode in modes:
         if mode not in MODES:

@@ -5,6 +5,10 @@ axis plays the batch role (timestamps for the segmentation path, edge rows
 for the change path).  Each layer caches what its backward pass needs on
 self, so a layer instance handles one forward/backward pair at a time.
 backward(dy) returns dx and accumulates parameter gradients in place.
+
+Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
+packs the columns of one image at a time, and backward re-packs the whole
+batch from the cached input for the weight gradient.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import SeededRng
 
@@ -31,59 +34,92 @@ def kaiming_uniform(rng: SeededRng, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * bound
 
 
-def _im2col(x: np.ndarray, kernel: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B*H*W, C*kernel^2) patch matrix (stride 1)."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    b, c, h, w = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kernel * kernel)
+def _window(shift: int, n: int) -> tuple[slice, slice]:
+    """Destination and source slices of a tap shifted by -1, 0 or +1 along n cells."""
+    return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n + min(0, shift))
 
 
-def _conv_raw(x: np.ndarray, weight: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1 cross-correlation used by both forward and backward paths."""
+def _pack_columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Write the 3x3 patches of x (B, C, H, W) into cols (C, 3, 3, B, H, W).
+
+    Returns the (C*9, B*H*W) view: row c*9 + 3i + j holds channel c shifted
+    by (i-1, j-1), column (b*H + y)*W + x one output pixel.  Cells that fall
+    in the zero padding are never written, so cols must start zeroed, and a
+    zeroed buffer stays valid across calls of one shape.
+    """
+    _, _, h, w = x.shape
+    xc = x.transpose(1, 0, 2, 3)
+    for i in range(3):
+        dst_y, src_y = _window(i - 1, h)
+        for j in range(3):
+            dst_x, src_x = _window(j - 1, w)
+            cols[:, i, j, :, dst_y, dst_x] = xc[:, :, src_y, src_x]
+    return cols.reshape(cols.shape[0] * 9, -1)
+
+
+def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Stride-1, same-size cross-correlation of x (B, C, H, W), without bias.
+
+    A 1x1 kernel needs no packing and is one GEMM over the whole batch.  A
+    3x3 kernel packs one image's columns at a time into a reused buffer, so
+    at most one image's 9x copy exists, and multiplies them into that
+    image's rows of a channels-last output.
+    """
     cout, cin, k, _ = weight.shape
     b, _, h, w = x.shape
-    cols = _im2col(x, k, pad)
-    y = cols @ weight.reshape(cout, cin * k * k).T
-    return y.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
+    wmat = weight.reshape(cout, cin * k * k).T
+    if k == 1:
+        out = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin) @ wmat
+    else:
+        out = np.empty((b, h * w, cout))
+        cols = np.zeros((cin, 3, 3, 1, h, w))
+        for n in range(b):
+            np.matmul(_pack_columns(x[n : n + 1], cols).T, wmat, out=out[n])
+    return out.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
 
 
 class Conv2d:
-    """Same-size convolution, kernel 1 or 3, stride 1, pad kernel//2."""
+    """Same-size convolution, kernel 1 or 3, stride 1, pad kernel//2.
+
+    Forward caches its input, so callers must not write to it before
+    backward.  Backward re-packs the whole batch from it, so the weight
+    gradient's sum over B*H*W stays one GEMM.
+    """
 
     def __init__(self, cin: int, cout: int, kernel: int, rng: SeededRng):
         if kernel not in (1, 3):
             raise ValueError("only 1x1 and 3x3 kernels are supported")
         self.kernel = kernel
-        self.pad = kernel // 2
         fan_in = cin * kernel * kernel
         self.weight = Param(kaiming_uniform(rng, (cout, cin, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(cout))
-        self._cols = None
-        self._xshape = None
+        self._x = None
 
     def params(self):
         yield "weight", self.weight
         yield "bias", self.bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cout = self.weight.value.shape[0]
-        b, _, h, w = x.shape
-        self._xshape = x.shape
-        self._cols = _im2col(x, self.kernel, self.pad)
-        y = self._cols @ self.weight.value.reshape(cout, -1).T + self.bias.value
-        return y.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
+        self._x = x
+        y = _conv_raw(x, self.weight.value)
+        y += self.bias.value[:, None, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        x = self._x
+        b, cin, h, w = x.shape
         cout = self.weight.value.shape[0]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
-        self.weight.grad += (dyf.T @ self._cols).reshape(self.weight.value.shape)
+        if self.kernel == 1:
+            cols_t = x.transpose(0, 2, 3, 1).reshape(-1, cin)
+        else:
+            cols_t = _pack_columns(x, np.zeros((cin, 3, 3, b, h, w))).T
+        self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
         self.bias.grad += dyf.sum(axis=0)
         ## dx is itself a stride-1 convolution with spatially flipped,
         ## channel-transposed weights
         wflip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv_raw(dy, np.ascontiguousarray(wflip), self.pad)
+        return _conv_raw(dy, np.ascontiguousarray(wflip))
 
 
 class TransposeConv2x2:

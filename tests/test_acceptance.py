@@ -306,6 +306,7 @@ def desk_runs():
     }
 
 
+@pytest.mark.slow
 def test_criterion_08_desk_training(capsys, desk_runs):
     with criterion(
         capsys, 8, "desk training: both variants usable, refined variant ahead"
@@ -348,6 +349,7 @@ def test_criterion_09_metric_identity(capsys):
 ## ---------------------------------------------------- 10: determinism
 
 
+@pytest.mark.slow
 def test_criterion_10_determinism(capsys, desk_runs):
     with criterion(
         capsys, 10, "seeded reruns and worker counts leave metrics unchanged"

@@ -16,6 +16,7 @@ from changeseries.backbone import (
     save_checkpoint,
 )
 from changeseries.changefeat import build_edge_set
+from changeseries.layers import Conv2d
 from changeseries.model import ChangeModel, ModelConfig
 from changeseries.rng import SeededRng
 from changeseries.temporal import TemporalConfig
@@ -172,6 +173,24 @@ def test_model_backward_touches_every_parameter():
     model.backward(np.ones_like(seg), np.ones_like(ch))
     for name, p in model.named_params().items():
         assert np.any(p.grad != 0.0), f"no gradient reached {name}"
+
+
+def test_forward_keeps_no_column_matrix(monkeypatch):
+    ## each conv may keep its input for backward, never a 9x patch copy
+    inputs = {}
+    forward = Conv2d.forward
+
+    def recording_forward(conv, x):
+        inputs[conv] = x.nbytes
+        return forward(conv, x)
+
+    monkeypatch.setattr(Conv2d, "forward", recording_forward)
+    model = ChangeModel(ModelConfig())
+    model.forward(SeededRng(22).uniform((3, 3, 32, 32)), build_edge_set("dense", 3))
+    assert len(inputs) == 16  # 6 encoder convs, 5 per decoder
+    for conv, nbytes in inputs.items():
+        cached = [v.nbytes for v in vars(conv).values() if isinstance(v, np.ndarray)]
+        assert max(cached, default=0) <= nbytes
 
 
 def test_model_series_length_mismatch():

@@ -558,6 +558,20 @@ ABLATE_CONFIGS = {
     "model_not_object": ({"model": 5}, "'model'"),
     "train_not_object": ({"train": [1e-3]}, "'train'"),
     "scenes_not_object": ({"scenes": "scene0"}, "'scenes'"),
+    "tfr_not_bool": ({"grid": {"tfr": [True, 3]}}, "'tfr'"),
+    "spec_not_object": (
+        {"scenes": {"spec": 5, "train_seeds": [0], "val_seeds": [1]}}, "'spec'"
+    ),
+    "train_seeds_not_list": (
+        {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": 5, "val_seeds": [1]}},
+        "'train_seeds'",
+    ),
+    "val_seeds_not_ints": (
+        {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0], "val_seeds": ["1"]}},
+        "'val_seeds'",
+    ),
+    "train_dirs_not_strings": ({"scenes": {"train_dirs": [5], "val_dirs": []}}, "'train_dirs'"),
+    "val_dirs_not_list": ({"scenes": {"train_dirs": [], "val_dirs": "v"}}, "'val_dirs'"),
 }
 
 

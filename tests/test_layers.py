@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gradcheck import check_layer, fd_grad, max_rel_err
 from changeseries.layers import (
@@ -39,6 +40,49 @@ def conv_forward_oracle(x, weight, bias, pad):
     return out
 
 
+def im2col_oracle(x, kernel):
+    """(B, C, H, W) -> (B*H*W, C*kernel^2) patch matrix, the whole-batch 9x copy."""
+    pad = kernel // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    b, c, h, w = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(b * h * w, c * kernel * kernel)
+
+
+def im2col_conv_oracle(conv, x, dy):
+    """Forward, weight grad, bias grad and dx by one whole-batch im2col GEMM each."""
+    weight = conv.weight.value
+    cout, cin, k, _ = weight.shape
+    b, _, h, w = x.shape
+    cols = im2col_oracle(x, k)
+    y = cols @ weight.reshape(cout, -1).T + conv.bias.value
+    dyf = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
+    dw = (dyf.T @ cols).reshape(weight.shape)
+    wflip = np.ascontiguousarray(weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    dx = im2col_oracle(dy, k) @ wflip.reshape(cin, -1).T
+    return (
+        y.reshape(b, h, w, cout).transpose(0, 3, 1, 2),
+        dw,
+        dyf.sum(axis=0),
+        dx.reshape(b, h, w, cin).transpose(0, 3, 1, 2),
+    )
+
+
+## (cin, cout, kernel, extent) of every conv in the default model on a 64x64
+## patch: encoder blocks, decoder blocks, then the 1x1 head
+MODEL_CONV_SHAPES = [
+    (3, 8, 3, 64),
+    (8, 8, 3, 64),
+    (8, 16, 3, 32),
+    (16, 16, 3, 32),
+    (16, 32, 3, 16),
+    (32, 32, 3, 16),
+    (32, 16, 3, 32),
+    (16, 8, 3, 64),
+    (8, 1, 1, 64),
+]
+
+
 def test_kaiming_bound_and_determinism():
     w = kaiming_uniform(SeededRng(3), (20, 30), fan_in=30)
     bound = np.sqrt(6.0 / 30)
@@ -55,6 +99,29 @@ def test_conv_matches_loop_oracle(kernel):
     want = conv_forward_oracle(x, conv.weight.value, conv.bias.value, kernel // 2)
     assert got.shape == (2, 2, 5, 6)
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [6, 15])
+@pytest.mark.parametrize("shape", MODEL_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_conv_bitwise_equals_im2col_gemm(shape, batch):
+    ## per-image packing and the batch re-pack run the whole-batch im2col
+    ## products row for row.  Products small enough for OpenBLAS's
+    ## small-matrix kernels (extents of 16 and under, few channels) may sum
+    ## in another order, so only the model's desk shapes are held to bit
+    ## equality
+    cin, cout, kernel, extent = shape
+    rng = SeededRng(cin * 100 + cout + batch)
+    conv = Conv2d(cin, cout, kernel, rng)
+    conv.bias.value = centered(rng, (cout,))
+    x = centered(rng, (batch, cin, extent, extent))
+    dy = centered(rng, (batch, cout, extent, extent))
+    y = conv.forward(x)
+    dx = conv.backward(dy)
+    want_y, want_dw, want_db, want_dx = im2col_conv_oracle(conv, x, dy)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(conv.weight.grad, want_dw)
+    assert np.array_equal(conv.bias.grad, want_db)
+    assert np.array_equal(dx, want_dx)
 
 
 def test_conv_rejects_unsupported_kernel():

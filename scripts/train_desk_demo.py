@@ -85,7 +85,7 @@ def main(argv=None):
     ## stage 2: fuse probabilities per held-out scene and score every task
     for i, scene in enumerate(val_scenes):
         edges = build_edge_set("dense", scene.t_len)
-        seg_probs, ch_probs = result.model.forward(scene.images, edges)
+        seg_probs, ch_probs = result.model.forward(scene.images, edges, keep=False)
         series = integrate(seg_probs, ch_probs, edges, "dense")
         line = [f"scene {args.val_seeds[i]}:"]
         for task in ("bitemporal", "continuous", "segmentation"):

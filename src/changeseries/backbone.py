@@ -63,7 +63,10 @@ class Encoder:
 
     def __init__(self, cfg: BackboneConfig, rng: SeededRng):
         self.cfg = cfg
-        self.entry = ConvBlock(cfg.in_channels, cfg.base_width, cfg.use_batchnorm, rng)
+        ## nothing reads the gradient of the images: the entry conv skips it
+        self.entry = ConvBlock(
+            cfg.in_channels, cfg.base_width, cfg.use_batchnorm, rng, input_grad=False
+        )
         self.pools = []
         self.blocks = []
         for s in range(1, cfg.scales):
@@ -79,19 +82,20 @@ class Encoder:
             for name, p in block.params():
                 yield f"down{i + 1}.{name}", p
 
-    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> list[np.ndarray]:
         pyramid_dims(self.cfg, x.shape[2], x.shape[3])
-        feats = [self.entry.forward(x)]
+        feats = [self.entry.forward(x, keep=keep)]
         for pool, block in zip(self.pools, self.blocks):
-            feats.append(block.forward(pool.forward(feats[-1])))
+            feats.append(block.forward(pool.forward(feats[-1], keep=keep), keep=keep))
         return feats
 
-    def backward(self, d_pyramid: list[np.ndarray]) -> np.ndarray:
+    def backward(self, d_pyramid: list[np.ndarray]) -> None:
+        """Accumulate every parameter gradient; the images get none."""
         grad = d_pyramid[-1]
         for s in range(len(self.blocks) - 1, -1, -1):
             grad = self.pools[s].backward(self.blocks[s].backward(grad))
             grad = grad + d_pyramid[s]
-        return self.entry.backward(grad)
+        self.entry.backward(grad)
 
 
 class Decoder:
@@ -123,17 +127,17 @@ class Decoder:
         for name, p in self.head.params():
             yield f"head.{name}", p
 
-    def forward(self, pyramid: list[np.ndarray]) -> np.ndarray:
+    def forward(self, pyramid: list[np.ndarray], *, keep: bool = True) -> np.ndarray:
         if len(pyramid) != self.cfg.scales:
             raise ValueError(f"expected {self.cfg.scales} pyramid levels, got {len(pyramid)}")
         self._split = []
         h = pyramid[-1]
         for i, (up, block) in enumerate(zip(self.ups, self.blocks)):
             skip = pyramid[self.cfg.scales - 2 - i]
-            u = up.forward(h)
+            u = up.forward(h, keep=keep)
             self._split.append(u.shape[1])
-            h = block.forward(np.concatenate([u, skip], axis=1))
-        return self.squash.forward(self.head.forward(h))[:, 0]
+            h = block.forward(np.concatenate([u, skip], axis=1), keep=keep)
+        return self.squash.forward(self.head.forward(h, keep=keep), keep=keep)[:, 0]
 
     def backward(self, d_out: np.ndarray) -> list[np.ndarray]:
         d_pyramid = [None] * self.cfg.scales

@@ -276,7 +276,7 @@ def _cmd_infer(args) -> int:
         raise CliError(f"{args.images}: expected (T, C, H, W), got rank {images.ndim}")
     kind = args.edge_kind or train_cfg.edge_kind
     edges = build_edge_set(kind, images.shape[0])
-    seg_probs, ch_probs = model.forward(images, edges)
+    seg_probs, ch_probs = model.forward(images, edges, keep=False)
     with run:
         write_raster(run.path("seg_probs.rts"), seg_probs)
         write_raster(run.path("ch_probs.rts"), ch_probs)
@@ -466,7 +466,7 @@ def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
         metrics: dict = {}
         for scene in val_scenes:
             edges = build_edge_set(kind, scene.t_len)
-            seg_probs, ch_probs = model.forward(scene.images, edges)
+            seg_probs, ch_probs = model.forward(scene.images, edges, keep=False)
             series = integrate(seg_probs, ch_probs, edges, mode, workers=workers)
             for key, value in _eval_fused(series, scene).items():
                 metrics.setdefault(key, []).append(value)

@@ -6,9 +6,16 @@ for the change path).  Each layer caches what its backward pass needs on
 self, so a layer instance handles one forward/backward pair at a time.
 backward(dy) returns dx and accumulates parameter gradients in place.
 
+forward(x, keep=False) computes the same output and stores None in place
+of the cache, so a forward that no backward follows (inference,
+validation) frees each intermediate as soon as the next layer has read
+it.  Composites pass keep down to every layer they own.  backward after
+such a forward is an error; ChangeModel checks it once for the network.
+
 Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
 packs the columns of one image at a time, and backward re-packs the whole
-batch from the cached input for the weight gradient.
+batch from the cached input for the weight gradient.  A conv built with
+input_grad=False (the network's first) skips dx, which no one reads.
 """
 
 from __future__ import annotations
@@ -83,13 +90,17 @@ class Conv2d:
 
     Forward caches its input, so callers must not write to it before
     backward.  Backward re-packs the whole batch from it, so the weight
-    gradient's sum over B*H*W stays one GEMM.
+    gradient's sum over B*H*W stays one GEMM.  With input_grad=False,
+    backward accumulates the parameter gradients and returns None.
     """
 
-    def __init__(self, cin: int, cout: int, kernel: int, rng: SeededRng):
+    def __init__(
+        self, cin: int, cout: int, kernel: int, rng: SeededRng, input_grad: bool = True
+    ):
         if kernel not in (1, 3):
             raise ValueError("only 1x1 and 3x3 kernels are supported")
         self.kernel = kernel
+        self.input_grad = input_grad
         fan_in = cin * kernel * kernel
         self.weight = Param(kaiming_uniform(rng, (cout, cin, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(cout))
@@ -99,13 +110,13 @@ class Conv2d:
         yield "weight", self.weight
         yield "bias", self.bias
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        self._x = x if keep else None
         y = _conv_raw(x, self.weight.value)
         y += self.bias.value[:, None, None]
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         x = self._x
         b, cin, h, w = x.shape
         cout = self.weight.value.shape[0]
@@ -116,6 +127,8 @@ class Conv2d:
             cols_t = _pack_columns(x, np.zeros((cin, 3, 3, b, h, w))).T
         self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
         self.bias.grad += dyf.sum(axis=0)
+        if not self.input_grad:
+            return None
         ## dx is itself a stride-1 convolution with spatially flipped,
         ## channel-transposed weights
         wflip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -134,8 +147,8 @@ class TransposeConv2x2:
         yield "weight", self.weight
         yield "bias", self.bias
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        self._x = x if keep else None
         b, _, h, w = x.shape
         cout = self.weight.value.shape[1]
         y = np.einsum("bchw,cdij->bdhiwj", x, self.weight.value, optimize=True)
@@ -168,12 +181,13 @@ class BatchNorm2d:
         yield "gamma", self.gamma
         yield "beta", self.beta
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
-        self._invstd = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mean) * self._invstd
-        return self.gamma.value[None, :, None, None] * self._xhat + self.beta.value[None, :, None, None]
+        invstd = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean) * invstd
+        self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
+        return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         n = dy.shape[0] * dy.shape[2] * dy.shape[3]
@@ -191,7 +205,7 @@ class Identity:
     def params(self):
         return iter(())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -205,9 +219,10 @@ class ReLU:
     def params(self):
         return iter(())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        mask = x > 0
+        self._mask = mask if keep else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return np.where(self._mask, dy, 0.0)
@@ -224,14 +239,15 @@ class Sigmoid:
     def params(self):
         return iter(())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         y = np.empty_like(x)
         pos = x >= 0
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
-        self._y = np.clip(y, self.CLIP, 1.0 - self.CLIP)
-        return self._y
+        y = np.clip(y, self.CLIP, 1.0 - self.CLIP)
+        self._y = y if keep else None
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         return dy * self._y * (1.0 - self._y)
@@ -245,15 +261,16 @@ class MaxPool2x2:
     def params(self):
         return iter(())
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even extents, got {h}x{w}")
         self._shape = x.shape
         view = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
         flat = view.reshape(b, c, h // 2, w // 2, 4)
-        self._idx = flat.argmax(axis=-1)
-        return np.take_along_axis(flat, self._idx[..., None], axis=-1)[..., 0]
+        idx = flat.argmax(axis=-1)
+        self._idx = idx if keep else None
+        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         b, c, h, w = self._shape
@@ -275,8 +292,8 @@ class Linear:
         yield "weight", self.weight
         yield "bias", self.bias
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        self._x = x if keep else None
         return x @ self.weight.value + self.bias.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -303,12 +320,13 @@ class LayerNorm:
         yield "gamma", self.gamma
         yield "beta", self.beta
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        self._invstd = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mean) * self._invstd
-        return self.gamma.value * self._xhat + self.beta.value
+        invstd = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean) * invstd
+        self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
+        return self.gamma.value * xhat + self.beta.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         d = dy.shape[-1]
@@ -325,10 +343,16 @@ class LayerNorm:
 
 
 class ConvBlock:
-    """[conv3x3 -> norm -> ReLU] x 2, the workhorse of encoder and decoders."""
+    """[conv3x3 -> norm -> ReLU] x 2, the workhorse of encoder and decoders.
 
-    def __init__(self, cin: int, cout: int, use_norm: bool, rng: SeededRng):
-        self.conv1 = Conv2d(cin, cout, 3, rng)
+    input_grad=False builds the first conv without dx: backward then
+    returns None.
+    """
+
+    def __init__(
+        self, cin: int, cout: int, use_norm: bool, rng: SeededRng, input_grad: bool = True
+    ):
+        self.conv1 = Conv2d(cin, cout, 3, rng, input_grad)
         self.norm1 = BatchNorm2d(cout) if use_norm else Identity()
         self.act1 = ReLU()
         self.conv2 = Conv2d(cout, cout, 3, rng)
@@ -346,12 +370,12 @@ class ConvBlock:
             for name, p in layer.params():
                 yield f"{label}.{name}", p
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         for layer in self._chain:
-            x = layer.forward(x)
+            x = layer.forward(x, keep=keep)
         return x
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray) -> np.ndarray | None:
         for layer in reversed(self._chain):
             dy = layer.backward(dy)
         return dy

@@ -5,7 +5,8 @@ segmentation probabilities (T, H, W) and change probabilities (N, H, W).
 The change branch consumes parameter-free later-minus-earlier differences
 of the refined pyramid, both as its deepest input and as its skip
 connections.  backward() routes loss gradients from both heads down to
-every parameter.
+every parameter.  forward(..., keep=False) keeps no backward cache in any
+layer, for callers that never call backward (inference, validation).
 """
 
 from __future__ import annotations
@@ -83,26 +84,36 @@ class ChangeModel:
         for p in self.named_params().values():
             p.grad = np.zeros_like(p.value)
 
-    def forward(self, images: np.ndarray, edges: EdgeSet) -> tuple[np.ndarray, np.ndarray]:
+    def forward(
+        self, images: np.ndarray, edges: EdgeSet, *, keep: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
         if images.ndim != 4:
             raise ValueError("expected an image series of shape (T, C, H, W)")
+        if images.shape[1] != self.cfg.backbone.in_channels:
+            raise ValueError(
+                f"images have {images.shape[1]} channels, "
+                f"the model takes {self.cfg.backbone.in_channels}"
+            )
         if images.shape[0] != edges.t_len:
             raise ValueError(
                 f"series length {images.shape[0]} does not match edge set over {edges.t_len}"
             )
-        self._edges = edges
-        pyramid = self.encoder.forward(images)
+        ## the edge set doubles as the mark that the layer caches are live
+        self._edges = edges if keep else None
+        pyramid = self.encoder.forward(images, keep=keep)
         if self.refiners is not None:
-            refined = [r.forward(level) for r, level in zip(self.refiners, pyramid)]
+            refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
         else:
             refined = pyramid
-        seg = self.seg_decoder.forward(refined)
+        seg = self.seg_decoder.forward(refined, keep=keep)
         diff = change_pyramid(refined, edges)
-        ch = self.change_decoder.forward(diff)
+        ch = self.change_decoder.forward(diff, keep=keep)
         return seg, ch
 
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:
         edges = self._edges
+        if edges is None:
+            raise RuntimeError("backward needs a preceding forward with keep=True")
         d_diff = self.change_decoder.backward(d_ch)
         d_refined = change_pyramid_backward(d_diff, edges)
         d_from_seg = self.seg_decoder.backward(d_seg)

@@ -89,14 +89,14 @@ class MultiHeadSelfAttention:
         p, _, t, _ = x.shape
         return x.transpose(0, 2, 1, 3).reshape(p, t, self.dim)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         q = self._split(x @ self.wq.value)
         k = self._split(x @ self.wk.value)
         v = self._split(x @ self.wv.value)
         scale = 1.0 / math.sqrt(self.d_head)
         attn = softmax_last(np.matmul(q, k.swapaxes(-1, -2)) * scale)
         ctx = self._merge(np.matmul(attn, v))
-        self._cache = (x, q, k, v, attn, ctx)
+        self._cache = (x, q, k, v, attn, ctx) if keep else None
         return ctx @ self.wo.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -149,9 +149,10 @@ class TransformerEncoderLayer:
             for name, p in mod.params():
                 yield f"{label}.{name}", p
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x + self.attn.forward(self.ln1.forward(x))
-        return h + self.ff2.forward(self.act.forward(self.ff1.forward(self.ln2.forward(h))))
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        h = x + self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)
+        f = self.ff1.forward(self.ln2.forward(h, keep=keep), keep=keep)
+        return h + self.ff2.forward(self.act.forward(f, keep=keep), keep=keep)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dn2 = self.ff1.backward(self.act.backward(self.ff2.backward(dy)))
@@ -176,7 +177,7 @@ class TemporalRefiner:
             for name, p in block.params():
                 yield f"layer{i}.{name}", p
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         t, d, h, w = x.shape
         if d != self.dim:
             raise ValueError(f"refiner built for width {self.dim}, got {d}")
@@ -185,7 +186,7 @@ class TemporalRefiner:
         if self.cfg.use_position_codes:
             seq = seq + temporal_encoding(t, d)[None, :, :]
         for block in self.blocks:
-            seq = block.forward(seq)
+            seq = block.forward(seq, keep=keep)
         return seq.transpose(1, 2, 0).reshape(t, d, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:

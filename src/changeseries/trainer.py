@@ -206,7 +206,7 @@ def _scene_loss(model: ChangeModel, scene: Scene, cfg: TrainConfig) -> float:
     edges = build_edge_set(cfg.edge_kind, len(stamps))
     seg_y = scene.seg_labels[rows]
     ch_y = XorChanges(seg_y).stack(edges)
-    seg_o, ch_o = model.forward(scene.images[rows], edges)
+    seg_o, ch_o = model.forward(scene.images[rows], edges, keep=False)
     total, _, _, _ = multitask_loss(seg_o, seg_y, ch_o, ch_y)
     return total
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,9 +181,9 @@ def test_forward_keeps_no_column_matrix(monkeypatch):
     inputs = {}
     forward = Conv2d.forward
 
-    def recording_forward(conv, x):
+    def recording_forward(conv, x, **kwargs):
         inputs[conv] = x.nbytes
-        return forward(conv, x)
+        return forward(conv, x, **kwargs)
 
     monkeypatch.setattr(Conv2d, "forward", recording_forward)
     model = ChangeModel(ModelConfig())
@@ -191,6 +192,79 @@ def test_forward_keeps_no_column_matrix(monkeypatch):
     for conv, nbytes in inputs.items():
         cached = [v.nbytes for v in vars(conv).values() if isinstance(v, np.ndarray)]
         assert max(cached, default=0) <= nbytes
+
+
+def stray_arrays(obj, path="model", seen=None):
+    """Paths of the arrays reachable from obj other than Param values and grads."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [path]
+    if isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    elif isinstance(obj, dict):
+        items = obj.items()
+    elif type(obj).__module__.startswith("changeseries.") and hasattr(obj, "__dict__"):
+        items = vars(obj).items()
+    else:  # Params have slots only: their arrays are not strays
+        return []
+    return [p for key, value in items for p in stray_arrays(value, f"{path}.{key}", seen)]
+
+
+@pytest.mark.parametrize("tfr", [True, False])
+@pytest.mark.parametrize("kind", ["adjacent", "dense"])
+def test_forward_without_keep_is_bitwise_equal(kind, tfr):
+    model = ChangeModel(tiny_model_config(tfr=tfr, scales=3))
+    edges = build_edge_set(kind, 4)
+    x = SeededRng(23).uniform((4, 3, 16, 16))
+    seg, ch = model.forward(x, edges)
+    seg_free, ch_free = model.forward(x, edges, keep=False)
+    assert np.array_equal(seg_free, seg)
+    assert np.array_equal(ch_free, ch)
+
+
+@pytest.mark.parametrize("tfr", [True, False])
+def test_forward_without_keep_leaves_no_layer_cache(tfr):
+    model = ChangeModel(tiny_model_config(tfr=tfr))
+    edges = build_edge_set("dense", 3)
+    x = SeededRng(24).uniform((3, 3, 8, 8))
+    model.forward(x, edges)
+    assert stray_arrays(model), "the walk must see the caches of a training forward"
+    model.forward(x, edges, keep=False)
+    assert stray_arrays(model) == []
+
+
+def test_forward_without_keep_peak_memory():
+    ## the T=6 128x128 infer shape: with every cache kept it peaks at 617 MB
+    model = ChangeModel(ModelConfig())
+    x = SeededRng(25).uniform((6, 3, 128, 128))
+    edges = build_edge_set("dense", 6)
+    tracemalloc.start()
+    try:
+        model.forward(x, edges, keep=False)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= 200.0, f"{peak_mb:.1f} MB"
+
+
+def test_backward_after_forward_without_keep_raises():
+    model = ChangeModel(tiny_model_config())
+    edges = build_edge_set("dense", 3)
+    x = SeededRng(26).uniform((3, 3, 8, 8))
+    seg, ch = model.forward(x, edges)
+    model.forward(x, edges, keep=False)
+    with pytest.raises(RuntimeError, match="keep=True"):
+        model.backward(np.ones_like(seg), np.ones_like(ch))
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+def test_model_rejects_wrong_channel_count(channels):
+    model = ChangeModel(tiny_model_config())
+    with pytest.raises(ValueError, match=f"{channels} channels, the model takes 3"):
+        model.forward(SeededRng(0).uniform((3, channels, 8, 8)), build_edge_set("dense", 3))
 
 
 def test_model_series_length_mismatch():

@@ -214,6 +214,23 @@ def test_infer_malformed_checkpoint_fails_cleanly(tmp_path, clean_scene_dir, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("channels", [1, 4])
+def test_infer_rejects_wrong_channel_count(tmp_path, train_run_dir, clean_scene_dir, capsys,
+                                           channels):
+    ## the checkpoint takes 3 channels: 1 must not broadcast, 4 must not crash
+    rgb = read_raster(os.path.join(clean_scene_dir, "images.rts"))
+    images = str(tmp_path / "images.rts")
+    write_raster(images, np.concatenate([rgb, rgb], axis=1)[:, :channels])
+    out = tmp_path / "out"
+    argv = ["infer", "--checkpoint", os.path.join(train_run_dir, "checkpoint.ckpt"),
+            "--images", images, "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert f"{channels} channels" in err and "takes 3" in err
+    assert not out.exists()
+
+
 ## ----------------------------------------------------------------- integrate
 
 

@@ -291,3 +291,16 @@ def test_projection_loss_gradient_helper_sanity():
     x = np.array([1.0, 2.0])
     g = fd_grad(lambda: float((3.0 * x).sum()), x)
     assert max_rel_err(np.array([3.0, 3.0]), g) < 1e-8
+
+
+def test_conv_without_input_grad_keeps_parameter_gradients():
+    ## the entry conv of the model skips dx; its own gradients must not move
+    rng = SeededRng(98)
+    x, dy = centered(rng, (6, 3, 64, 64)), centered(rng, (6, 8, 64, 64))
+    full, skip = Conv2d(3, 8, 3, SeededRng(99)), Conv2d(3, 8, 3, SeededRng(99), input_grad=False)
+    for conv in (full, skip):
+        conv.forward(x)
+    assert full.backward(dy) is not None
+    assert skip.backward(dy) is None
+    assert np.array_equal(skip.weight.grad, full.weight.grad)
+    assert np.array_equal(skip.bias.grad, full.bias.grad)

@@ -60,3 +60,28 @@ def test_tracer_counts_each_fusion_tile(monkeypatch):
     assert rows["markov.build_potentials"]["calls"] == 2
     assert rows["markov.map_decode_general"]["calls"] == 2
     assert rows["markov.map_decode_general"]["assignments"] == h * w * 2**t_len
+
+
+def test_tracer_sees_infer_forward(tmp_path):
+    ## infer calls forward with keep=False: the wrappers must pass the
+    ## keyword through and still read a conv's input as its positional x
+    from changeseries import cli
+    from changeseries.backbone import save_checkpoint
+    from changeseries.model import ChangeModel, ModelConfig
+    from changeseries.rng import SeededRng
+    from changeseries.tensor import write_raster
+
+    spans = load_spans()
+    model = ChangeModel(ModelConfig())
+    ckpt, images = str(tmp_path / "model.ckpt"), str(tmp_path / "images.rts")
+    save_checkpoint(ckpt, model.param_values(), {"model": model.cfg.to_jsonable()})
+    write_raster(images, SeededRng(7).uniform((3, 3, 16, 16)))
+    tracer = spans.Tracer()
+    argv = ["infer", "--checkpoint", ckpt, "--images", images, "--out", str(tmp_path / "out")]
+    with tracer.tracing("pass"):
+        assert cli.main(argv) == 0
+    rows = spans.summarize(tracer.spans, passes=1, setups=0)
+    assert rows["cli.infer"]["calls"] == 1
+    assert rows["layers.Conv2d.forward"]["calls"] == 16  # 6 encoder convs, 5 per decoder
+    assert rows["layers.Conv2d.forward"]["flops"] > 0
+    assert "layers.Conv2d.backward" not in rows

@@ -68,7 +68,9 @@ class EdgeSet:
     @staticmethod
     def from_jsonable(obj: dict) -> "EdgeSet":
         """The edge set a to_jsonable dict names; its stored list must match."""
-        edges = EdgeSet(obj["kind"], int(obj["t"]))
+        if not isinstance(obj, dict) or type(obj.get("t")) is not int:
+            raise ValueError("expected an object whose 't' is an int")
+        edges = EdgeSet(obj["kind"], obj["t"])
         stored = tuple(tuple(e) for e in obj["edges"])
         if stored != edges.edges:
             raise ValueError(f"edge list {stored} does not match {edges.kind} over T={edges.t_len}")

@@ -19,13 +19,15 @@ import json
 import os
 import shutil
 import sys
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
 from .changefeat import EdgeSet, XorChanges, build_edge_set
-from .markov import MODES, MapSeries, integrate
+from .jsonconfig import JsonConfig
+from .markov import MODES, integrate
 from .model import ChangeModel, ModelConfig
 from .objective import TASKS, ThresholdedChanges, evaluate, threshold_probs
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate, stack_probs
@@ -95,11 +97,10 @@ def _load_json(path: str) -> dict:
 
 
 def _load_edges(path: str) -> EdgeSet:
+    """An edge set file, or a run manifest whose outputs hold one."""
     obj = _load_json(path)
-    if "edges" in obj and isinstance(obj.get("edges"), dict):
-        obj = obj["edges"]
-    elif "kind" not in obj and "edges" in obj.get("outputs", {}):
-        obj = obj["outputs"]["edges"]
+    if "kind" not in obj and isinstance(obj.get("outputs"), dict):
+        obj = obj["outputs"].get("edges")
     try:
         return EdgeSet.from_jsonable(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -220,20 +221,8 @@ def _cmd_train(args) -> int:
     val_scenes = [load_scene_dir(p) for p in args.val_scenes]
     channels = train_scenes[0].images.shape[1]
     model_cfg = _model_config_from_args(args, channels)
-    cfg = TrainConfig(
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        steps_per_epoch=args.steps_per_epoch,
-        patience=args.patience,
-        patch_size=args.patch_size,
-        candidate_crops=args.candidate_crops,
-        base_prob=args.base_prob,
-        t_train=args.t_train,
-        edge_kind=args.edge_kind,
-        seed=args.seed,
-    )
+    ## every TrainConfig field is a train flag of the same name
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     result = train(train_scenes, val_scenes, model_cfg, cfg)
     with run:
         meta = {
@@ -413,163 +402,152 @@ def _cmd_eval(args) -> int:
 ## -------------------------------------------------------------------- ablate
 
 
-_SCENE_LISTS = {"train_seeds": int, "val_seeds": int, "train_dirs": str, "val_dirs": str}
+@dataclass(frozen=True)
+class GridConfig(JsonConfig):
+    mti_modes: tuple[str, ...] = ("degenerate", "dense")
+    t: tuple[int, ...] = (4,)
+    loss_edges: tuple[str, ...] = ("dense",)
+    tfr: tuple[bool, ...] = (True,)
+
+    def __post_init__(self):
+        for mode in self.mti_modes:
+            if mode not in MODES:
+                raise ValueError(f"unknown fusion mode {mode!r}")
 
 
-def _check_scenes_section(path: str, obj: dict) -> None:
-    if not isinstance(obj.get("spec", {}), dict):
-        raise CliError(f"{path}: scenes 'spec' must be a JSON object")
-    for key, kind in _SCENE_LISTS.items():
-        value = obj.get(key, [])
-        if not (isinstance(value, list) and all(type(v) is kind for v in value)):
-            noun = "integers" if kind is int else "strings"
-            raise CliError(f"{path}: scenes {key!r} must be a JSON list of {noun}")
+@dataclass(frozen=True)
+class ScenesConfig(JsonConfig):
+    """Scene directories if any are named, else scenes generated from spec per seed."""
+
+    spec: SceneSpec = field(default_factory=SceneSpec)
+    t: int | None = None
+    train_seeds: tuple[int, ...] = ()
+    val_seeds: tuple[int, ...] = ()
+    train_dirs: tuple[str, ...] = ()
+    val_dirs: tuple[str, ...] = ()
+
+    def names(self, split: str) -> tuple:
+        """The directories or else the seeds of the "train" or "val" split."""
+        kind = "dirs" if self.train_dirs or self.val_dirs else "seeds"
+        return getattr(self, f"{split}_{kind}")
+
+    def load(self, split: str, t_len: int) -> list[Scene]:
+        spec = replace(self.spec, t_len=t_len)
+        return [
+            load_scene_dir(n) if isinstance(n, str) else generate(replace(spec, seed=n))
+            for n in self.names(split)
+        ]
 
 
-def _scenes_from_config(obj: dict, t_len: int) -> tuple[list, list]:
-    if "train_dirs" in obj:
-        return (
-            [load_scene_dir(p) for p in obj["train_dirs"]],
-            [load_scene_dir(p) for p in obj["val_dirs"]],
-        )
-    base = dict(obj["spec"])
-    base["t"] = t_len
-    trains = [generate(SceneSpec.from_jsonable({**base, "seed": s})) for s in obj["train_seeds"]]
-    vals = [generate(SceneSpec.from_jsonable({**base, "seed": s})) for s in obj["val_seeds"]]
-    return trains, vals
+@dataclass(frozen=True)
+class AblateConfig(JsonConfig):
+    grid: GridConfig = field(default_factory=GridConfig)
+    model: BackboneConfig = field(default_factory=BackboneConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    scenes: ScenesConfig = field(default_factory=ScenesConfig)
+    checkpoint: str | None = None
+    workers: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
+    def cells(self, in_channels: int) -> dict:
+        """t -> [(loss edge kind, refiner on, ModelConfig, TrainConfig)], one per grid cell."""
+        backbone = replace(self.model, in_channels=in_channels)
+        return {
+            t: [
+                (kind, tfr, ModelConfig(backbone, TemporalConfig() if tfr else None, self.seed),
+                 replace(self.train, t_train=t, edge_kind=kind, seed=self.seed))
+                for kind in self.grid.loss_edges
+                for tfr in self.grid.tfr
+            ]
+            for t in self.grid.t
+        }
+
+
+def load_ablate_config(path: str) -> tuple[AblateConfig, dict]:
+    """The grid file, checked whole before any scene or model exists, and its raw JSON."""
+    raw = _load_json(path)
+    try:
+        cfg = AblateConfig.from_partial(raw)
+        if not cfg.scenes.names("val"):
+            raise ValueError("scenes name no validation scene")
+        if cfg.checkpoint is None:
+            if not cfg.scenes.names("train"):
+                raise ValueError("scenes name no training scene")
+            cfg.cells(cfg.model.in_channels)  # every cell's configs check themselves
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return cfg, raw
 
 
 def _mode_feasible(mode: str, kind: str, t_len: int) -> bool:
-    if mode == "degenerate":
-        return True
-    wanted = build_edge_set(mode, t_len).edges
     have = set(build_edge_set(kind, t_len).edges)
-    return all(pair in have for pair in wanted)
-
-
-def _eval_fused(series: MapSeries, scene: Scene) -> dict:
-    out = {}
-    for task in TASKS:
-        report = evaluate(task, series.states, series, scene.seg_labels)
-        out[f"{task}_f1"] = report.f1
-        out[f"{task}_iou"] = report.iou
-    return out
+    return mode == "degenerate" or have.issuperset(build_edge_set(mode, t_len).edges)
 
 
 def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
-    rows = []
-    for mode in modes:
-        t_len = val_scenes[0].t_len
-        if not _mode_feasible(mode, kind, t_len):
-            rows.append({"mode": mode, "skipped": f"{mode} edges exceed trained kind {kind}"})
-            continue
-        metrics: dict = {}
-        for scene in val_scenes:
-            edges = build_edge_set(kind, scene.t_len)
-            seg_probs, ch_probs = model.forward(scene.images, edges, keep=False)
+    """One row per mode, averaged over the scenes; each scene is forwarded once."""
+    t_len = val_scenes[0].t_len
+    metrics = {mode: {} for mode in modes if _mode_feasible(mode, kind, t_len)}
+    for scene in val_scenes if metrics else ():
+        edges = build_edge_set(kind, scene.t_len)
+        seg_probs, ch_probs = model.forward(scene.images, edges, keep=False)
+        for mode, values in metrics.items():
             series = integrate(seg_probs, ch_probs, edges, mode, workers=workers)
-            for key, value in _eval_fused(series, scene).items():
-                metrics.setdefault(key, []).append(value)
-        rows.append(
-            {"mode": mode, **{k: float(np.mean(v)) for k, v in metrics.items()}}
-        )
-    return rows
+            for task in TASKS:
+                report = evaluate(task, series.states, series, scene.seg_labels)
+                values.setdefault(f"{task}_f1", []).append(report.f1)
+                values.setdefault(f"{task}_iou", []).append(report.iou)
+    return [
+        {"mode": mode, **{k: float(np.mean(v)) for k, v in metrics[mode].items()}}
+        if mode in metrics
+        else {"mode": mode, "skipped": f"{mode} edges exceed trained kind {kind}"}
+        for mode in modes
+    ]
 
 
 def _cmd_ablate(args) -> int:
     run = RunDir(args.out, "ablate")
-    cfg = _load_json(args.config)
-    for key in ("grid", "model", "train", "scenes"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise CliError(f"{args.config}: section {key!r} must be a JSON object")
-    grid = cfg.get("grid", {})
-    for key in ("mti_modes", "t", "loss_edges", "tfr"):
-        if not isinstance(grid.get(key, []), list):
-            raise CliError(f"{args.config}: grid {key!r} must be a JSON list")
-    if not all(isinstance(flag, bool) for flag in grid.get("tfr", [])):
-        raise CliError(f"{args.config}: grid 'tfr' entries must be true or false")
-    _check_scenes_section(args.config, cfg.get("scenes", {}))
-    modes = grid.get("mti_modes", ["degenerate", "dense"])
-    for mode in modes:
-        if mode not in MODES:
-            raise CliError(f"unknown fusion mode {mode!r}")
-    workers = int(cfg.get("workers", 1))
+    cfg, raw = load_ablate_config(args.config)
+    modes, workers = cfg.grid.mti_modes, cfg.workers
     rows = []
 
-    if "checkpoint" in cfg:
-        model, train_cfg = _load_model(cfg["checkpoint"])
+    if cfg.checkpoint is not None:
+        model, train_cfg = _load_model(cfg.checkpoint)
         kind = train_cfg.edge_kind
-        t_len = int(cfg["scenes"].get("t", train_cfg.t_train))
-        _, val_scenes = _scenes_from_config(cfg["scenes"], t_len)
-        for row in _ablate_eval_rows(model, kind, modes, val_scenes, workers):
-            rows.append({"checkpoint": cfg["checkpoint"], "edge_kind": kind, **row})
+        t_len = train_cfg.t_train if cfg.scenes.t is None else cfg.scenes.t
+        cell = {"checkpoint": cfg.checkpoint, "edge_kind": kind}
+        for row in _ablate_eval_rows(model, kind, modes, cfg.scenes.load("val", t_len), workers):
+            rows.append({**cell, **row})
     else:
-        t_values = [int(t) for t in grid.get("t", [4])]
-        loss_kinds = grid.get("loss_edges", ["dense"])
-        tfr_flags = grid.get("tfr", [True])
-        base_train = dict(cfg.get("train", {}))
-        base_model = dict(cfg.get("model", {}))
-        seed = int(cfg.get("seed", 0))
-        for t_len in t_values:
-            train_scenes, val_scenes = _scenes_from_config(cfg["scenes"], t_len)
+        for t_len in cfg.grid.t:
+            train_scenes = cfg.scenes.load("train", t_len)
+            val_scenes = cfg.scenes.load("val", t_len)
             channels = train_scenes[0].images.shape[1]
-            for kind in loss_kinds:
-                for use_tfr in tfr_flags:
-                    model_cfg = ModelConfig(
-                        backbone=BackboneConfig.from_jsonable(
-                            {
-                                **BackboneConfig().to_jsonable(),
-                                **base_model,
-                                "in_channels": channels,
-                            }
-                        ),
-                        temporal=TemporalConfig() if use_tfr else None,
-                        seed=seed,
-                    )
-                    train_cfg = TrainConfig.from_jsonable(
-                        {
-                            **TrainConfig(seed=seed).to_jsonable(),
-                            **base_train,
-                            "t_train": t_len,
-                            "edge_kind": kind,
-                            "seed": seed,
-                        }
-                    )
-                    result = train(train_scenes, val_scenes, model_cfg, train_cfg)
-                    names = sorted(result.best_params)
-                    for row in _ablate_eval_rows(
-                        result.model, kind, modes, val_scenes, workers
-                    ):
-                        rows.append(
-                            {
-                                "t": t_len,
-                                "loss_edges": kind,
-                                "tfr": bool(use_tfr),
-                                "n_params": len(names),
-                                "attention_params": sum(
-                                    1 for n in names if n.startswith("temporal.")
-                                ),
-                                "best_val_loss": result.best_val_loss,
-                                **row,
-                            }
-                        )
+            for kind, use_tfr, model_cfg, train_cfg in cfg.cells(channels)[t_len]:
+                result = train(train_scenes, val_scenes, model_cfg, train_cfg)
+                names = sorted(result.best_params)
+                cell = {"t": t_len, "loss_edges": kind, "tfr": use_tfr, "n_params": len(names),
+                        "attention_params": sum(n.startswith("temporal.") for n in names),
+                        "best_val_loss": result.best_val_loss}
+                for row in _ablate_eval_rows(result.model, kind, modes, val_scenes, workers):
+                    rows.append({**cell, **row})
 
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    columns = list(dict.fromkeys(key for row in rows for key in row))
     with run:
         with open(run.path("table.json"), "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
         with open(run.path("table.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             writer.writerows(rows)
         run.write_manifest(
             {
-                "config": {"ablate": cfg, "config_path": os.path.abspath(args.config)},
+                "config": {"ablate": raw, "config_path": os.path.abspath(args.config)},
                 "outputs": {"table_json": "table.json", "table_csv": "table.csv"},
             }
         )

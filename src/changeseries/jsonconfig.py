@@ -3,9 +3,12 @@
 A config is written as an object with one key per dataclass field; a field
 may rename its key through the field metadata {"key": ...}.  Reading
 walks the same fields and coerces each value with its annotated type:
-bool, int, float (an int is accepted), str, a nested config, or any of
-these or None.  Unknown keys are ignored.  A missing key, a value of the
-wrong type or a non-object raises ValueError naming the key.
+bool, int, float (an int is accepted), str, a nested config, a typed tuple
+such as tuple[int, ...] (a JSON list), or any of these or None.  Unknown
+keys are ignored.  A missing key, a value of the wrong type or a
+non-object raises ValueError naming the key and any list index.
+from_partial first merges the object, recursively, over the defaults'
+to_jsonable(), so there a missing key takes its default.
 """
 
 from __future__ import annotations
@@ -16,40 +19,59 @@ from dataclasses import fields, is_dataclass
 
 
 class JsonConfig:
-    """Mixin giving a config dataclass to_jsonable and from_jsonable."""
+    """Mixin giving a config dataclass to_jsonable, from_jsonable and from_partial."""
 
     def to_jsonable(self) -> dict:
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
-            out[f.metadata.get("key", f.name)] = (
-                value.to_jsonable() if isinstance(value, JsonConfig) else value
-            )
+            value = value.to_jsonable() if isinstance(value, JsonConfig) else value
+            out[f.metadata.get("key", f.name)] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
     def from_jsonable(cls, obj):
         return _load(cls, obj, cls.__name__)
 
+    @classmethod
+    def from_partial(cls, obj):
+        return cls.from_jsonable(_merge(cls().to_jsonable(), obj))
 
-def _load(tp, value, where: str):
+
+def _merge(default, value):
+    if not (isinstance(default, dict) and isinstance(value, dict)):
+        return value
+    return {**default, **{k: _merge(default.get(k), v) for k, v in value.items()}}
+
+
+def _wrong(where: str, key: str | None, expected: str, value) -> ValueError:
+    named = f" for key {key!r}" if key else ""
+    return ValueError(f"{where}: expected {expected}{named}, got {type(value).__name__}")
+
+
+def _load(tp, value, where: str, key: str | None = None):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(tp):
             return None
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
     if is_dataclass(tp):
         if not isinstance(value, dict):
-            raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
+            raise _wrong(where, key, "an object", value)
         hints = typing.get_type_hints(tp)
         kwargs = {}
         for f in fields(tp):
-            key = f.metadata.get("key", f.name)
-            if key not in value:
-                raise ValueError(f"{where}: missing key {key!r}")
-            kwargs[f.name] = _load(hints[f.name], value[key], f"{where}.{key}")
+            name = f.metadata.get("key", f.name)
+            if name not in value:
+                raise ValueError(f"{where}: missing key {name!r}")
+            kwargs[f.name] = _load(hints[f.name], value[name], f"{where}.{name}", name)
         return tp(**kwargs)
+    if typing.get_origin(tp) is tuple:
+        if type(value) is not list:
+            raise _wrong(where, key, "a list", value)
+        entry = typing.get_args(tp)[0]
+        return tuple(_load(entry, v, f"{where}[{i}]", key) for i, v in enumerate(value))
     if tp is float and type(value) is int:
         return float(value)
     if type(value) is not tp:
-        raise ValueError(f"{where}: expected {tp.__name__}, got {type(value).__name__}")
+        raise _wrong(where, key, tp.__name__, value)
     return value

@@ -13,7 +13,7 @@ Everything is a pure function of the SceneSpec seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -170,8 +170,3 @@ def corrupt_to_probabilities(
 def stack_probs(ch_probs: dict, edges: EdgeSet) -> np.ndarray:
     """(N, H, W) probability stack following the edge set's order."""
     return np.stack([ch_probs[pair] for pair in edges.edges], axis=0)
-
-
-def scene_with_seed(spec: SceneSpec, seed: int) -> Scene:
-    """Convenience: regenerate the same layout family under another seed."""
-    return generate(replace(spec, seed=seed))

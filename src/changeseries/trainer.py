@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .changefeat import EdgeSet, XorChanges, build_edge_set
+from .changefeat import EDGE_KINDS, EdgeSet, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
 from .model import ChangeModel, ModelConfig
 from .objective import multitask_loss
@@ -55,6 +55,8 @@ class TrainConfig(JsonConfig):
             raise ValueError("base_prob must be > 0")
         if self.t_train < 2:
             raise ValueError("t_train must be >= 2")
+        if self.edge_kind not in EDGE_KINDS:
+            raise ValueError(f"unknown edge kind {self.edge_kind!r}, expected one of {EDGE_KINDS}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ import pytest
 from malformed import CHECKPOINTS, META, MODEL_CONFIGS, pack
 
 from changeseries import cli
+from changeseries.backbone import load_checkpoint, save_checkpoint
 from changeseries.changefeat import build_edge_set
 from changeseries.synthgen import SceneSpec, generate
 from changeseries.tensor import read_raster, write_raster
@@ -231,6 +232,22 @@ def test_infer_rejects_wrong_channel_count(tmp_path, train_run_dir, clean_scene_
     assert not out.exists()
 
 
+def test_infer_rejects_checkpoint_with_unknown_edge_kind(tmp_path, train_run_dir,
+                                                        clean_scene_dir, capsys):
+    meta, values = load_checkpoint(os.path.join(train_run_dir, "checkpoint.ckpt"))
+    meta["train"]["edge_kind"] = "sideways"
+    ckpt = str(tmp_path / "sideways.ckpt")
+    save_checkpoint(ckpt, values, meta)
+    out = tmp_path / "out"
+    argv = ["infer", "--checkpoint", ckpt, "--edge-kind", "dense",
+            "--images", os.path.join(clean_scene_dir, "images.rts"), "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "'sideways'" in err
+    assert not out.exists()
+
+
 ## ----------------------------------------------------------------- integrate
 
 
@@ -359,15 +376,37 @@ def test_eval_requires_a_prediction_source(tmp_path, clean_scene_dir, capsys):
     assert not out.exists()
 
 
-def test_eval_rejects_malformed_edge_file(tmp_path, clean_scene_dir, capsys):
+DENSE3 = {"kind": "dense", "t": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
+
+## name -> an --edges file that integrate and eval must refuse
+BAD_EDGE_FILES = {
+    "no_edge_keys": {"foo": 1},
+    "outputs_not_object": {"outputs": 5},
+    "outputs_without_edges": {"outputs": {"states": "states.rts"}},
+    "t_float": dict(DENSE3, t=3.7),
+    "t_string": dict(DENSE3, t="3"),
+    "t_bool": dict(DENSE3, t=True),
+    "edges_not_pairs": dict(DENSE3, edges=[1, 2, 3]),
+    "edges_wrapper": {"edges": DENSE3},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EDGE_FILES))
+@pytest.mark.parametrize("command", ["integrate", "eval"])
+def test_eval_rejects_malformed_edge_file(tmp_path, clean_scene_dir, capsys, command, case):
     bad = tmp_path / "edges.json"
-    bad.write_text(json.dumps({"foo": 1}), encoding="utf-8")
-    argv = ["eval",
+    bad.write_text(json.dumps(BAD_EDGE_FILES[case]), encoding="utf-8")
+    out = tmp_path / "rep"
+    argv = [command,
             "--seg-probs", os.path.join(clean_scene_dir, "seg_probs.rts"),
             "--ch-probs", os.path.join(clean_scene_dir, "ch_probs.rts"),
-            "--edges", bad, "--labels", clean_scene_dir, "--out", tmp_path / "rep"]
+            "--edges", bad, "--out", out]
+    argv += ["--mode", "dense"] if command == "integrate" else ["--labels", clean_scene_dir]
     assert run_cli(argv) == 1
-    assert "edge set" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "edge set" in err
+    assert not out.exists()
 
 
 def _drop(obj, key):
@@ -589,12 +628,42 @@ ABLATE_CONFIGS = {
     ),
     "train_dirs_not_strings": ({"scenes": {"train_dirs": [5], "val_dirs": []}}, "'train_dirs'"),
     "val_dirs_not_list": ({"scenes": {"train_dirs": [], "val_dirs": "v"}}, "'val_dirs'"),
+    ## each case below used to train or generate before failing, or to run on a cast value
+    "workers_zero": ({"workers": 0}, "workers must be >= 1"),
+    "workers_float": ({"workers": 2.7}, "AblateConfig.workers: expected int"),
+    "workers_bool": ({"workers": True}, "AblateConfig.workers: expected int"),
+    "loss_edges_unknown": ({"grid": {"loss_edges": ["adjacent", "sideways"]}}, "'sideways'"),
+    "t_float": ({"grid": {"t": [3.9]}}, "AblateConfig.grid.t[0]: expected int"),
+    "t_too_short": ({"grid": {"t": [3, 1]}}, "t_train must be >= 2"),
+    "scenes_t_float": (
+        {"scenes": {"spec": tiny_spec_jsonable(), "t": 3.5, "train_seeds": [0],
+                    "val_seeds": [1]}},
+        "AblateConfig.scenes.t: expected int",
+    ),
+    "no_train_scenes": (
+        {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [], "val_seeds": [1]}},
+        "no training scene",
+    ),
+    ## "TRAINED" stands for the checkpoint that the train_run_dir fixture writes
+    "checkpoint_no_val_scenes": (
+        {"checkpoint": "TRAINED", "scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
+                                             "val_seeds": []}},
+        "no validation scene",
+    ),
 }
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("ablate generated a scene or trained before checking its config")
+
+
 @pytest.mark.parametrize("case", sorted(ABLATE_CONFIGS))
-def test_ablate_rejects_malformed_config(tmp_path, capsys, case):
+def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_run_dir, case):
     sections, text = ABLATE_CONFIGS[case]
+    if sections.get("checkpoint") == "TRAINED":
+        sections = dict(sections, checkpoint=os.path.join(train_run_dir, "checkpoint.ckpt"))
+    monkeypatch.setattr(cli, "generate", _no_work)
+    monkeypatch.setattr(cli, "train", _no_work)
     config = {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
                          "val_seeds": [1]},
               **sections}

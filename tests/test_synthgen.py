@@ -9,7 +9,6 @@ from changeseries.synthgen import (
     SceneSpec,
     corrupt_to_probabilities,
     generate,
-    scene_with_seed,
     stack_probs,
 )
 
@@ -83,14 +82,6 @@ def test_change_stack_follows_edge_order():
     assert stack.shape == (3, 32, 32)
     for n, pair in enumerate(edges.edges):
         assert np.array_equal(stack[n], scene.change_labels[pair])
-
-
-def test_scene_with_seed_changes_only_seed():
-    base = small_spec(seed=0)
-    other = scene_with_seed(base, 9)
-    assert other.spec.seed == 9
-    assert other.spec.height == base.height
-    assert not np.array_equal(other.images, generate(base).images)
 
 
 def test_corrupt_zero_sigma_is_clipped_labels():

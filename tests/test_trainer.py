@@ -314,6 +314,7 @@ def test_train_config_jsonable_round_trip():
         dict(base_prob=0.0),
         dict(t_train=1),
         dict(candidate_crops=0),
+        dict(edge_kind="sideways"),
     ],
 )
 def test_train_config_validation(kw):

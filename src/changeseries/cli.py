@@ -29,7 +29,7 @@ from .changefeat import EdgeSet, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
 from .markov import MODES, integrate
 from .model import ChangeModel, ModelConfig
-from .objective import TASKS, ThresholdedChanges, evaluate, threshold_probs
+from .objective import TASKS, ThresholdedChanges, check_binary, evaluate, threshold_probs
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate, stack_probs
 from .temporal import TemporalConfig
 from .tensor import export_pgm, read_raster, write_raster
@@ -107,24 +107,39 @@ def _load_edges(path: str) -> EdgeSet:
         raise CliError(f"{path} does not describe an edge set: {exc}") from exc
 
 
+def _read_states(path: str) -> np.ndarray:
+    """A raster of binary states or labels as uint8; any value but 0 or 1 is refused."""
+    values = read_raster(path)
+    try:
+        check_binary(values, "a state raster")
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return values.astype(np.uint8)
+
+
 def load_scene_dir(path: str) -> Scene:
     """Rebuild a Scene from a synth-gen run directory.
 
     Only the images and seg_labels rasters are read: change labels are
-    derived from seg_labels.
+    derived from seg_labels.  Images must be (T, C, H, W) over binary
+    labels of (T, H, W).
     """
     manifest = _load_json(os.path.join(path, "manifest.json"))
     try:
         spec = SceneSpec.from_jsonable(manifest["config"]["spec"])
-        images = os.path.join(path, manifest["outputs"]["images"])
-        seg = os.path.join(path, manifest["outputs"]["seg_labels"])
+        images_path = os.path.join(path, manifest["outputs"]["images"])
+        seg_path = os.path.join(path, manifest["outputs"]["seg_labels"])
     except KeyError as exc:
         raise CliError(f"{path}: manifest is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: malformed manifest: {exc}") from exc
-    return Scene(
-        spec=spec, images=read_raster(images), seg_labels=read_raster(seg).astype(np.uint8)
-    )
+    images, seg = read_raster(images_path), _read_states(seg_path)
+    if images.ndim != 4 or seg.shape != images.shape[:1] + images.shape[2:]:
+        raise CliError(
+            f"{images_path}: images of shape {images.shape} do not fit labels of shape "
+            f"{seg.shape} in {seg_path}; expected (T, C, H, W) over (T, H, W)"
+        )
+    return Scene(spec=spec, images=images, seg_labels=seg)
 
 
 def _load_model(path: str) -> tuple[ChangeModel, TrainConfig]:
@@ -347,7 +362,7 @@ def _load_truth(path: str) -> np.ndarray:
     if os.path.isdir(path):
         scene = load_scene_dir(path)
         return scene.seg_labels
-    return read_raster(path).astype(np.uint8)
+    return _read_states(path)
 
 
 def _format_table(reports: list) -> str:
@@ -363,7 +378,7 @@ def _cmd_eval(args) -> int:
     run = RunDir(args.out, "eval")
     true_seg = _load_truth(args.labels)
     if args.pred_states:
-        states = read_raster(args.pred_states).astype(np.uint8)
+        states = _read_states(args.pred_states)
         pred_seg, pred_change = states, XorChanges(states)
         source = {"pred_states": os.path.abspath(args.pred_states)}
     else:
@@ -426,17 +441,20 @@ class ScenesConfig(JsonConfig):
     train_dirs: tuple[str, ...] = ()
     val_dirs: tuple[str, ...] = ()
 
+    @property
+    def from_dirs(self) -> bool:
+        return bool(self.train_dirs or self.val_dirs)
+
     def names(self, split: str) -> tuple:
         """The directories or else the seeds of the "train" or "val" split."""
-        kind = "dirs" if self.train_dirs or self.val_dirs else "seeds"
-        return getattr(self, f"{split}_{kind}")
+        return getattr(self, f"{split}_{'dirs' if self.from_dirs else 'seeds'}")
 
-    def load(self, split: str, t_len: int) -> list[Scene]:
+    def load(self, split: str, t_len: int | None = None) -> list[Scene]:
+        """The split's scene directories as stored, or its seeds generated at t_len."""
+        if self.from_dirs:
+            return [load_scene_dir(n) for n in self.names(split)]
         spec = replace(self.spec, t_len=t_len)
-        return [
-            load_scene_dir(n) if isinstance(n, str) else generate(replace(spec, seed=n))
-            for n in self.names(split)
-        ]
+        return [generate(replace(spec, seed=n)) for n in self.names(split)]
 
 
 @dataclass(frozen=True)
@@ -523,9 +541,18 @@ def _cmd_ablate(args) -> int:
         for row in _ablate_eval_rows(model, kind, modes, cfg.scenes.load("val", t_len), workers):
             rows.append({**cell, **row})
     else:
+        stored = None
+        if cfg.scenes.from_dirs:
+            stored = cfg.scenes.load("train"), cfg.scenes.load("val")
+            shortest = min(scene.t_len for scene in stored[0])
+            too_long = [t for t in cfg.grid.t if t > shortest]
+            if too_long:
+                raise CliError(f"grid t {too_long} exceeds the shortest training series, "
+                               f"{shortest} timestamps")
         for t_len in cfg.grid.t:
-            train_scenes = cfg.scenes.load("train", t_len)
-            val_scenes = cfg.scenes.load("val", t_len)
+            train_scenes, val_scenes = stored or (
+                cfg.scenes.load("train", t_len), cfg.scenes.load("val", t_len)
+            )
             channels = train_scenes[0].images.shape[1]
             for kind, use_tfr, model_cfg, train_cfg in cfg.cells(channels)[t_len]:
                 result = train(train_scenes, val_scenes, model_cfg, train_cfg)

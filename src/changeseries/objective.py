@@ -28,7 +28,7 @@ def _check_probabilities(output: np.ndarray) -> None:
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
 
-def _check_binary(target: np.ndarray, what: str = "target") -> None:
+def check_binary(target: np.ndarray, what: str = "target") -> None:
     vals = np.unique(np.asarray(target))
     if not np.all(np.isin(vals, (0, 1))):
         raise ValueError(f"{what} must be binary, found values {vals[:8]}")
@@ -41,7 +41,7 @@ def jaccard_loss(output: np.ndarray, target: np.ndarray) -> tuple[float, np.ndar
     if output.shape != target.shape:
         raise ValueError(f"shape mismatch {output.shape} vs {target.shape}")
     _check_probabilities(output)
-    _check_binary(target)
+    check_binary(target)
     inter = float((output * target).sum()) + SMOOTH
     union = float(output.sum() + target.sum() - (output * target).sum()) + SMOOTH
     loss = 1.0 - inter / union
@@ -99,8 +99,8 @@ def binary_metrics(pred: np.ndarray, truth: np.ndarray) -> MapCounts:
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    _check_binary(pred, "prediction")
-    _check_binary(truth, "truth")
+    check_binary(pred, "prediction")
+    check_binary(truth, "truth")
     p = pred.astype(bool)
     t = truth.astype(bool)
     return MapCounts(

@@ -20,7 +20,10 @@ Derived quantities:
 
 The counter-based form makes array generation a pure function of
 (seed, counter), so scalar and vectorized paths produce identical
-sequences.
+sequences.  It also lets a stream start part-way: ``skip(n)`` advances
+the counter past n outputs without computing them, so a fresh stream that
+skips n and then draws yields exactly the values a stream that had already
+drawn n outputs would.
 """
 
 from __future__ import annotations
@@ -69,6 +72,13 @@ class SeededRng:
         """Child stream; independent of this stream's position."""
         child = _mix64_scalar(self._seed ^ ((_DERIVE_SALT + (int(tag) * _GAMMA)) & _MASK64))
         return SeededRng(child)
+
+    def skip(self, n: int) -> "SeededRng":
+        """Advance past n outputs without drawing them; returns this stream."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        self._count += int(n)
+        return self
 
     def u64(self, size: int | None = None):
         """Raw 64-bit outputs; the primitive all other draws reduce to."""

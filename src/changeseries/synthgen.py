@@ -8,16 +8,23 @@ Gaussian noise.  Labels are exact: segmentation masks per timestamp are
 stored, and the change mask of every ordered timestamp pair is derived
 from them by XOR on lookup.
 
+Corrupted change probabilities are likewise drawn on lookup: pair (t, k)
+draws its normals from the change-corruption stream starting at the
+counter its position in dense lexicographic order gives, so each row is
+the same bytes whichever pairs are read, and in whichever order.  Nothing
+is cached; reading a pair again draws it again.
+
 Everything is a pure function of the SceneSpec seed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .changefeat import EdgeSet, XorChanges, build_edge_set
+from .changefeat import EdgeSet, XorChanges
 from .jsonconfig import JsonConfig
 from .markov import PROB_EPS
 from .rng import SeededRng
@@ -141,14 +148,48 @@ def generate(spec: SceneSpec) -> Scene:
     return Scene(spec=spec, images=images, seg_labels=seg)
 
 
+class CorruptedChanges(Mapping):
+    """Noisy change probabilities of a scene's dense pairs, drawn on lookup.
+
+    Pair (t, k), 1-based with t < k, maps to
+    clamp(XOR label + sigma * gaussian, PROB_EPS, 1 - PROB_EPS) as float64.
+    Its normals start at counter n * 2 * H * W of the stream, n being the
+    pair's index in dense lexicographic order (Box-Muller takes two
+    uniforms per normal): the position a loop drawing every dense pair in
+    that order would reach.  Rows are
+    not cached, so the mapping holds no probability array.  Iteration lists
+    the dense pairs in lexicographic order.
+    """
+
+    def __init__(self, labels: XorChanges, sigma: float, stream: SeededRng):
+        self._labels = labels
+        self._sigma = sigma
+        self._seed = stream.seed
+        self._dense = EdgeSet("dense", len(labels.states))
+
+    def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
+        label = self._labels[pair].astype(np.float64)
+        rng = SeededRng(self._seed).skip(self._dense.index_of(pair) * 2 * label.size)
+        noisy = label + rng.normal(label.shape) * self._sigma
+        return np.clip(noisy, PROB_EPS, 1.0 - PROB_EPS)
+
+    def __iter__(self):
+        return iter(self._dense.edges)
+
+    def __len__(self) -> int:
+        return len(self._dense)
+
+
 def corrupt_to_probabilities(
     scene: Scene, seg_sigma: float, ch_sigma: float, seed: int
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, CorruptedChanges]:
     """Noisy probabilistic observations of a scene's labels.
 
     Each probability is clamp(label + gaussian(sigma), PROB_EPS, 1 - PROB_EPS).
-    Change probabilities cover every dense pair, keyed like
-    Scene.change_labels, drawn in lexicographic pair order.
+    Segmentation probabilities are drawn here.  Change probabilities cover
+    every dense pair, keyed like Scene.change_labels, and each pair's row is
+    drawn when it is looked up, at its dense-order counter offset, so it
+    equals the row a lexicographic loop over all pairs would have drawn.
     """
     if seg_sigma < 0 or ch_sigma < 0:
         raise ValueError("corruption sigmas must be >= 0")
@@ -159,14 +200,9 @@ def corrupt_to_probabilities(
 
     seg = scene.seg_labels.astype(np.float64)
     seg_probs = np.clip(seg + s_rng.normal(seg.shape) * seg_sigma, lo, hi)
-
-    ch_probs = {}
-    for pair in build_edge_set("dense", scene.t_len).edges:
-        label = scene.change_labels[pair].astype(np.float64)
-        ch_probs[pair] = np.clip(label + c_rng.normal(label.shape) * ch_sigma, lo, hi)
-    return seg_probs, ch_probs
+    return seg_probs, CorruptedChanges(scene.change_labels, ch_sigma, c_rng)
 
 
-def stack_probs(ch_probs: dict, edges: EdgeSet) -> np.ndarray:
+def stack_probs(ch_probs: Mapping, edges: EdgeSet) -> np.ndarray:
     """(N, H, W) probability stack following the edge set's order."""
     return np.stack([ch_probs[pair] for pair in edges.edges], axis=0)

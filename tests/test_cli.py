@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -102,6 +103,26 @@ def test_synth_gen_byte_deterministic(tmp_path):
     for name in ("images.rts", "seg_labels.rts", "change_labels.rts",
                  "seg_probs.rts", "ch_probs.rts", "manifest.json"):
         assert file_bytes(os.path.join(a, name)) == file_bytes(os.path.join(b, name))
+
+
+## sha256 of synth-gen's rasters for GOLDEN_ARGV; any change to the
+## generator, the corruption draws or the RNG that moves a byte fails here
+GOLDEN_ARGV = [
+    "synth-gen", "--seed", "3", "--t", "4", "--height", "24", "--width", "20",
+    "--buildings", "4", "--max-extent", "8", "--seg-noise", "0.3", "--ch-noise", "0.2",
+    "--corrupt-seed", "9",
+]
+GOLDEN_SHA256 = {
+    "images.rts": "f6cb534c8d0a33e3783e3c45b71f2874288482770de0d9847d14924ec2e32f4b",
+    "seg_probs.rts": "530ba36c71191172ca11440020408c55944caf3a549435553eeec524ce7529bb",
+    "ch_probs.rts": "0f176ca08e1b856727ab79227ec7ed5ee883d9afe478657e2b1d00494eed9fac",
+}
+
+
+def test_synth_gen_golden_bytes(tmp_path):
+    assert run_cli([*GOLDEN_ARGV, "--out", tmp_path / "scene"]) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256(file_bytes(tmp_path / "scene" / name)).hexdigest() == digest, name
 
 
 def test_synth_gen_corrupt_seed_defaults_to_seed_plus_one(clean_scene_dir, tmp_path):
@@ -444,6 +465,63 @@ def test_eval_malformed_scene_manifest_fails_cleanly(tmp_path, clean_scene_dir, 
     assert not out.exists()
 
 
+def _write_labels_of_shape(scene):
+    write_raster(scene / "seg_labels.rts", np.zeros((4, 20, 20)))
+
+
+def _write_flat_images(scene):
+    write_raster(scene / "images.rts", read_raster(scene / "images.rts")[:, 0])
+
+
+## name -> (edit of a copied scene directory that load_scene_dir must refuse,
+##          the file the error must name)
+BAD_SCENE_RASTERS = {
+    "labels_not_binary": (
+        lambda scene: shutil.copy(scene / "seg_probs.rts", scene / "seg_labels.rts"),
+        "seg_labels.rts",
+    ),
+    "labels_other_extent": (_write_labels_of_shape, "images.rts"),
+    "images_rank_3": (_write_flat_images, "images.rts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENE_RASTERS))
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_scene_dir_with_bad_rasters_fails_cleanly(tmp_path, clean_scene_dir, capsys,
+                                                 command, case):
+    edit, named = BAD_SCENE_RASTERS[case]
+    scene = tmp_path / "scene"
+    shutil.copytree(clean_scene_dir, scene)
+    edit(scene)
+    out = tmp_path / "run"
+    if command == "eval":
+        argv = ["eval", "--pred-states", os.path.join(clean_scene_dir, "seg_labels.rts"),
+                "--labels", scene, "--out", out]
+    else:
+        argv = ["train", "--scenes", scene, "--val-scenes", clean_scene_dir,
+                "--t-train", "2", "--patch-size", "8", "--max-epochs", "1", "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--pred-states", "--labels"])
+def test_eval_refuses_non_binary_state_raster(tmp_path, clean_scene_dir, capsys, flag):
+    ## probabilities used to truncate to all-zero states and score F1 0
+    probs = os.path.join(clean_scene_dir, "seg_probs.rts")
+    labels = os.path.join(clean_scene_dir, "seg_labels.rts")
+    out = tmp_path / "rep"
+    argv = ["eval", "--pred-states", probs if flag == "--pred-states" else labels,
+            "--labels", probs if flag == "--labels" else labels, "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "seg_probs.rts" in err and "binary" in err
+    assert not out.exists()
+
+
 def test_scene_dir_ignores_stored_change_labels(tmp_path, clean_scene_dir):
     scene = tmp_path / "scene"
     shutil.copytree(clean_scene_dir, scene)
@@ -605,6 +683,8 @@ def test_ablate_checkpoint_mode(tmp_path, train_run_dir, capsys):
     assert {r["mode"] for r in rows} == {"degenerate", "adjacent"}
 
 
+SCENE_DIRS = {"train_dirs": ["SCENE"], "val_dirs": ["SCENE"]}
+
 ## name -> (sections replacing the valid config's, text the error must name)
 ABLATE_CONFIGS = {
     "unknown_mode": ({"grid": {"mti_modes": ["sideways"]}}, "sideways"),
@@ -644,6 +724,11 @@ ABLATE_CONFIGS = {
         {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [], "val_seeds": [1]}},
         "no training scene",
     ),
+    ## "SCENE" stands for the T=3 directory that the clean_scene_dir fixture writes
+    "t_exceeds_scene_dirs": (
+        {"grid": {"t": [3, 5]}, "scenes": SCENE_DIRS},
+        "grid t [5] exceeds the shortest training series, 3 timestamps",
+    ),
     ## "TRAINED" stands for the checkpoint that the train_run_dir fixture writes
     "checkpoint_no_val_scenes": (
         {"checkpoint": "TRAINED", "scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
@@ -658,10 +743,14 @@ def _no_work(*args, **kwargs):
 
 
 @pytest.mark.parametrize("case", sorted(ABLATE_CONFIGS))
-def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_run_dir, case):
+def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_run_dir,
+                                        clean_scene_dir, case):
     sections, text = ABLATE_CONFIGS[case]
     if sections.get("checkpoint") == "TRAINED":
         sections = dict(sections, checkpoint=os.path.join(train_run_dir, "checkpoint.ckpt"))
+    if sections.get("scenes") == SCENE_DIRS:
+        sections = dict(sections, scenes={"train_dirs": [clean_scene_dir],
+                                          "val_dirs": [clean_scene_dir]})
     monkeypatch.setattr(cli, "generate", _no_work)
     monkeypatch.setattr(cli, "train", _no_work)
     config = {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],

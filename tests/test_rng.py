@@ -139,3 +139,26 @@ def test_u64_vector_prefix_property(seed, n):
 def test_uniform_unit_interval_property(seed):
     u = SeededRng(seed).uniform(64)
     assert np.all(u >= 0.0) and np.all(u < 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=MASK),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+)
+def test_skip_then_draw_equals_later_slice(seed, scalars, a, b):
+    ## scalar draws before and after the skip share the one counter
+    full = list(SeededRng(seed).u64(scalars + a + b + 1))
+    rng = SeededRng(seed)
+    head = [rng.u64() for _ in range(scalars)]
+    assert rng.skip(a) is rng
+    assert head + list(rng.u64(b)) + [rng.u64()] == full[:scalars] + full[scalars + a:]
+
+
+def test_skip_offsets_normals_and_rejects_negative():
+    ## a normal takes two outputs, so skipping 2n lands on the (n+1)th normal
+    assert SeededRng(4).skip(6).normal() == SeededRng(4).normal(4)[3]
+    with pytest.raises(ValueError):
+        SeededRng(4).skip(-1)

@@ -1,9 +1,13 @@
 """Synthetic scene generation and label corruption."""
 
+import random
+
 import numpy as np
 import pytest
 
+from changeseries import synthgen
 from changeseries.changefeat import build_edge_set
+from changeseries.rng import SeededRng
 from changeseries.synthgen import (
     PROB_EPS,
     SceneSpec,
@@ -128,6 +132,56 @@ def test_stack_probs_order():
     stack = stack_probs(ch_probs, edges)
     assert stack.shape == (6, 32, 32)
     assert np.array_equal(stack[3], ch_probs[(2, 3)])
+
+
+def eager_change_probs(scene, sigma, seed):
+    """Every dense pair drawn in one lexicographic pass of the change stream."""
+    c_rng = SeededRng(seed).derive(synthgen._STREAM_CH_CORRUPT)
+    out = {}
+    for pair in build_edge_set("dense", scene.t_len).edges:
+        label = scene.change_labels[pair].astype(np.float64)
+        out[pair] = np.clip(label + c_rng.normal(label.shape) * sigma, PROB_EPS, 1.0 - PROB_EPS)
+    return out
+
+
+@pytest.mark.parametrize("t_len", [2, 3, 5])
+def test_change_lookups_equal_eager_dense_draws(t_len):
+    scene = generate(small_spec(seed=t_len, t_len=t_len, height=13, width=21))
+    _, ch_probs = corrupt_to_probabilities(scene, 0.3, 0.4, seed=17)
+    oracle = eager_change_probs(scene, 0.4, seed=17)
+    assert list(ch_probs) == list(oracle) and len(ch_probs) == len(oracle)
+    order = list(oracle) * 2
+    random.Random(t_len).shuffle(order)
+    for pair in order:
+        got = ch_probs[pair]
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracle[pair].tobytes(), pair
+
+
+def test_change_lookup_rejects_pairs_outside_the_dense_set():
+    _, ch_probs = corrupt_to_probabilities(generate(small_spec()), 0.1, 0.1, seed=0)
+    for pair in [(0, 1), (2, 2), (3, 2), (1, 5)]:
+        with pytest.raises(KeyError):
+            ch_probs[pair]
+
+
+def test_adjacent_stack_draws_only_its_rows(monkeypatch):
+    spec = small_spec(t_len=20, height=16, width=24)
+    scene = generate(spec)
+    change_stream = SeededRng(5).derive(synthgen._STREAM_CH_CORRUPT).seed
+    drawn = []
+    u64 = SeededRng.u64
+
+    def counting_u64(self, size=None):
+        if self.seed == change_stream:
+            drawn.append(1 if size is None else int(size))
+        return u64(self, size)
+
+    monkeypatch.setattr(SeededRng, "u64", counting_u64)
+    _, ch_probs = corrupt_to_probabilities(scene, 0.2, 0.3, seed=5)
+    stack = stack_probs(ch_probs, build_edge_set("adjacent", 20))
+    assert stack.shape == (19, 16, 24)
+    assert sum(drawn) == 19 * 2 * 16 * 24
 
 
 @pytest.mark.parametrize(

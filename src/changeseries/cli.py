@@ -117,6 +117,15 @@ def _read_states(path: str) -> np.ndarray:
     return values.astype(np.uint8)
 
 
+def _read_probs(path: str) -> np.ndarray:
+    """A raster of probabilities; any value outside [0, 1] is refused."""
+    values = read_raster(path)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise CliError(f"{path}: probabilities must lie in [0, 1], found values in "
+                       f"[{values.min():g}, {values.max():g}]")
+    return values
+
+
 def load_scene_dir(path: str) -> Scene:
     """Rebuild a Scene from a synth-gen run directory.
 
@@ -306,13 +315,13 @@ def _cmd_infer(args) -> int:
 
 def _cmd_integrate(args) -> int:
     run = RunDir(args.out, "integrate")
-    seg_probs = read_raster(args.seg_probs)
+    seg_probs = _read_probs(args.seg_probs)
     ch_probs = None
     available = None
     if args.mode != "degenerate":
         if not args.ch_probs or not args.edges:
             raise CliError(f"mode {args.mode!r} needs --ch-probs and --edges")
-        ch_probs = read_raster(args.ch_probs)
+        ch_probs = _read_probs(args.ch_probs)
         available = _load_edges(args.edges)
     series = integrate(
         seg_probs, ch_probs, available, args.mode, workers=args.workers
@@ -384,9 +393,16 @@ def _cmd_eval(args) -> int:
     else:
         if not (args.seg_probs and args.ch_probs and args.edges):
             raise CliError("eval needs --pred-states or (--seg-probs, --ch-probs, --edges)")
-        seg_probs = read_raster(args.seg_probs)
-        ch_probs = read_raster(args.ch_probs)
+        seg_probs = _read_probs(args.seg_probs)
+        ch_probs = _read_probs(args.ch_probs)
         edges = _load_edges(args.edges)
+        if seg_probs.ndim != 3 or len(seg_probs) != edges.t_len:
+            raise CliError(f"{args.seg_probs}: shape {seg_probs.shape} is not (T, H, W) "
+                           f"with T = {edges.t_len}, the series length of {args.edges}")
+        rows = (len(edges), *seg_probs.shape[1:])
+        if ch_probs.shape != rows:
+            raise CliError(f"{args.ch_probs}: shape {ch_probs.shape}, expected {rows}, "
+                           f"one row per edge of {args.edges}")
         pred_seg = threshold_probs(seg_probs)
         pred_change = ThresholdedChanges(ch_probs, edges)
         source = {

@@ -16,6 +16,13 @@ Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
 packs the columns of one image at a time, and backward re-packs the whole
 batch from the cached input for the weight gradient.  A conv built with
 input_grad=False (the network's first) skips dx, which no one reads.
+
+Layer.params() walks the attributes in __init__ order, yielding a Param
+under its attribute name and a child Layer's params under "attr.", and
+skipping anything else, lists included.  Attribute names and __init__
+order are thus the checkpoint's record names and order.  A composite whose
+record names are not attribute paths (Encoder, Decoder, TemporalRefiner)
+defines its own params().
 """
 
 from __future__ import annotations
@@ -33,6 +40,18 @@ class Param:
     def __init__(self, value: np.ndarray):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+
+
+class Layer:
+    """Names its parameters by attribute; see the module docstring."""
+
+    def params(self):
+        for attr, value in vars(self).items():
+            if isinstance(value, Param):
+                yield attr, value
+            elif isinstance(value, Layer):
+                for name, p in value.params():
+                    yield f"{attr}.{name}", p
 
 
 def kaiming_uniform(rng: SeededRng, shape: tuple, fan_in: int) -> np.ndarray:
@@ -85,7 +104,7 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
 
 
-class Conv2d:
+class Conv2d(Layer):
     """Same-size convolution, kernel 1 or 3, stride 1, pad kernel//2.
 
     Forward caches its input, so callers must not write to it before
@@ -105,10 +124,6 @@ class Conv2d:
         self.weight = Param(kaiming_uniform(rng, (cout, cin, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(cout))
         self._x = None
-
-    def params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         self._x = x if keep else None
@@ -135,17 +150,13 @@ class Conv2d:
         return _conv_raw(dy, np.ascontiguousarray(wflip))
 
 
-class TransposeConv2x2:
+class TransposeConv2x2(Layer):
     """2x2 transpose convolution with stride 2: doubles H and W."""
 
     def __init__(self, cin: int, cout: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (cin, cout, 2, 2), cin * 4))
         self.bias = Param(np.zeros(cout))
         self._x = None
-
-    def params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         self._x = x if keep else None
@@ -163,7 +174,7 @@ class TransposeConv2x2:
         return np.einsum("bdhwij,cdij->bchw", dyr, self.weight.value, optimize=True)
 
 
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     """Per-channel normalization over (B, H, W) with batch statistics.
 
     Statistics come from the current batch in every mode; the time axis
@@ -176,10 +187,6 @@ class BatchNorm2d:
         self.beta = Param(np.zeros(channels))
         self._xhat = None
         self._invstd = None
-
-    def params(self):
-        yield "gamma", self.gamma
-        yield "beta", self.beta
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
@@ -199,11 +206,8 @@ class BatchNorm2d:
         return g * (dy - dbeta[None, :, None, None] / n - self._xhat * dgamma[None, :, None, None] / n)
 
 
-class Identity:
+class Identity(Layer):
     """Stands in for BatchNorm2d when normalization is switched off."""
-
-    def params(self):
-        return iter(())
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         return x
@@ -212,12 +216,9 @@ class Identity:
         return dy
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self):
         self._mask = None
-
-    def params(self):
-        return iter(())
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         mask = x > 0
@@ -228,16 +229,13 @@ class ReLU:
         return np.where(self._mask, dy, 0.0)
 
 
-class Sigmoid:
+class Sigmoid(Layer):
     """Numerically stable sigmoid, output clipped strictly inside (0, 1)."""
 
     CLIP = 1e-12
 
     def __init__(self):
         self._y = None
-
-    def params(self):
-        return iter(())
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         y = np.empty_like(x)
@@ -253,13 +251,10 @@ class Sigmoid:
         return dy * self._y * (1.0 - self._y)
 
 
-class MaxPool2x2:
+class MaxPool2x2(Layer):
     def __init__(self):
         self._idx = None
         self._shape = None
-
-    def params(self):
-        return iter(())
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         b, c, h, w = x.shape
@@ -280,17 +275,13 @@ class MaxPool2x2:
         return view.reshape(b, c, h, w)
 
 
-class Linear:
+class Linear(Layer):
     """y = x @ W + b over the trailing axis."""
 
     def __init__(self, d_in: int, d_out: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (d_in, d_out), d_in))
         self.bias = Param(np.zeros(d_out))
         self._x = None
-
-    def params(self):
-        yield "weight", self.weight
-        yield "bias", self.bias
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         self._x = x if keep else None
@@ -306,7 +297,7 @@ class Linear:
         return dy @ self.weight.value.T
 
 
-class LayerNorm:
+class LayerNorm(Layer):
     """Normalization over the trailing feature axis with scale and shift."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -315,10 +306,6 @@ class LayerNorm:
         self.beta = Param(np.zeros(dim))
         self._xhat = None
         self._invstd = None
-
-    def params(self):
-        yield "gamma", self.gamma
-        yield "beta", self.beta
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
@@ -342,7 +329,7 @@ class LayerNorm:
         )
 
 
-class ConvBlock:
+class ConvBlock(Layer):
     """[conv3x3 -> norm -> ReLU] x 2, the workhorse of encoder and decoders.
 
     input_grad=False builds the first conv without dx: backward then
@@ -359,16 +346,6 @@ class ConvBlock:
         self.norm2 = BatchNorm2d(cout) if use_norm else Identity()
         self.act2 = ReLU()
         self._chain = [self.conv1, self.norm1, self.act1, self.conv2, self.norm2, self.act2]
-
-    def params(self):
-        for label, layer in (
-            ("conv1", self.conv1),
-            ("norm1", self.norm1),
-            ("conv2", self.conv2),
-            ("norm2", self.norm2),
-        ):
-            for name, p in layer.params():
-                yield f"{label}.{name}", p
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         for layer in self._chain:

@@ -320,6 +320,8 @@ def integrate(
     t_len, h, w = seg_probs.shape
     if ch_probs.shape != (len(available), h, w):
         raise ValueError(f"ch_probs has shape {ch_probs.shape}, expected {(len(available), h, w)}")
+    if available.t_len != t_len:
+        raise ValueError(f"edge set over {available.t_len} timestamps, seg_probs has {t_len}")
     wanted = build_edge_set(mode, t_len)
     try:
         rows = [available.index_of(pair) for pair in wanted.edges]

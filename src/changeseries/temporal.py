@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonconfig import JsonConfig
-from .layers import LayerNorm, Linear, Param, ReLU, kaiming_uniform
+from .layers import Layer, LayerNorm, Linear, Param, ReLU, kaiming_uniform
 from .rng import SeededRng
 
 
@@ -55,7 +55,7 @@ def softmax_last(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class MultiHeadSelfAttention:
+class MultiHeadSelfAttention(Layer):
     """Scaled dot-product attention over the time axis of (P, T, D) input.
 
     Per head: scores = Q K^T / sqrt(D_head), rows softmaxed, context = A V.
@@ -74,12 +74,6 @@ class MultiHeadSelfAttention:
         self.wv = Param(kaiming_uniform(rng, (dim, dim), dim))
         self.wo = Param(kaiming_uniform(rng, (dim, dim), dim))
         self._cache = None
-
-    def params(self):
-        yield "wq", self.wq
-        yield "wk", self.wk
-        yield "wv", self.wv
-        yield "wo", self.wo
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         p, t, _ = x.shape
@@ -122,7 +116,7 @@ class MultiHeadSelfAttention:
         return dq_m @ self.wq.value.T + dk_m @ self.wk.value.T + dv_m @ self.wv.value.T
 
 
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Layer):
     """Pre-norm residual block: x + MHA(LN(x)), then + FFN(LN(.)).
 
     The feed-forward half is Linear(D -> ff_mult*D) -> ReLU -> Linear(-> D).
@@ -137,17 +131,6 @@ class TransformerEncoderLayer:
         self.ff1 = Linear(dim, ff_mult * dim, rng)
         self.act = ReLU()
         self.ff2 = Linear(ff_mult * dim, dim, rng)
-
-    def params(self):
-        for label, mod in (
-            ("ln1", self.ln1),
-            ("attn", self.attn),
-            ("ln2", self.ln2),
-            ("ff1", self.ff1),
-            ("ff2", self.ff2),
-        ):
-            for name, p in mod.params():
-                yield f"{label}.{name}", p
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         h = x + self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)

@@ -224,6 +224,20 @@ def train(
     divisor = 2 ** (model_cfg.backbone.scales - 1)
     if cfg.patch_size % divisor:
         raise ValueError(f"patch size {cfg.patch_size} not divisible by {divisor}")
+    ## every scene is checked before the first forward, not when it is first drawn
+    channels = model_cfg.backbone.in_channels
+    for split, scenes in (("training", train_scenes), ("validation", val_scenes)):
+        for i, scene in enumerate(scenes, 1):
+            t_len, c, h, w = scene.images.shape
+            where = f"{split} scene {i} of shape {scene.images.shape}"
+            if c != channels:
+                raise ValueError(f"{where} has {c} channels, the model takes {channels}")
+            if split == "validation" and (h % divisor or w % divisor):
+                raise ValueError(f"{where} is not divisible by {divisor}")
+            if split == "training" and t_len < cfg.t_train:
+                raise ValueError(f"{where} has fewer than t_train = {cfg.t_train} timestamps")
+            if split == "training" and min(h, w) < cfg.patch_size:
+                raise ValueError(f"{where} is smaller than a {cfg.patch_size}-pixel patch")
 
     model = ChangeModel(model_cfg)
     opt = AdamW(model.named_params(), cfg.weight_decay)

@@ -1,8 +1,10 @@
 """Encoder/decoder structure, the full model, and checkpoints."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from changeseries.backbone import (
     save_checkpoint,
 )
 from changeseries.changefeat import build_edge_set
-from changeseries.layers import Conv2d
+from changeseries.layers import Conv2d, Param
 from changeseries.model import ChangeModel, ModelConfig
 from changeseries.rng import SeededRng
 from changeseries.temporal import TemporalConfig
@@ -194,23 +196,81 @@ def test_forward_keeps_no_column_matrix(monkeypatch):
         assert max(cached, default=0) <= nbytes
 
 
-def stray_arrays(obj, path="model", seen=None):
-    """Paths of the arrays reachable from obj other than Param values and grads."""
+def reachable(obj, path="model", seen=None):
+    """(path, object) for each object reachable from obj, once each.
+
+    The walk enters lists, tuples, dicts and the attributes of changeseries
+    objects.  Params have slots only, so it stops at them: their arrays are
+    not visited.
+    """
     seen = set() if seen is None else seen
     if id(obj) in seen:
-        return []
+        return
     seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return [path]
+    yield path, obj
     if isinstance(obj, (list, tuple)):
         items = enumerate(obj)
     elif isinstance(obj, dict):
         items = obj.items()
     elif type(obj).__module__.startswith("changeseries.") and hasattr(obj, "__dict__"):
         items = vars(obj).items()
-    else:  # Params have slots only: their arrays are not strays
-        return []
-    return [p for key, value in items for p in stray_arrays(value, f"{path}.{key}", seen)]
+    else:
+        return
+    for key, value in items:
+        yield from reachable(value, f"{path}.{key}", seen)
+
+
+def stray_arrays(obj):
+    """Paths of the arrays reachable from obj other than Param values and grads."""
+    return [path for path, value in reachable(obj) if isinstance(value, np.ndarray)]
+
+
+_DEFAULT = ModelConfig()
+
+## config -> (parameter count, sha256 of the JSON list of [name, shape] pairs
+## named_params() gives, in order).  The names, order and shapes are the
+## checkpoint's records, so any change to them changes the format.
+PARAM_INVENTORIES = {
+    "default": (
+        _DEFAULT,
+        140,
+        "f64f8c1c6c043ab19122c5b53ca907be28f17d79e96e87fc35e03cd0990087d5",
+    ),
+    "no_refiner": (
+        replace(_DEFAULT, temporal=None),
+        68,
+        "47806a77d0f3d9173c1253555eb04e70573b6006ef1915a27b85af0744b97780",
+    ),
+    "no_batchnorm": (
+        replace(_DEFAULT, backbone=replace(_DEFAULT.backbone, use_batchnorm=False)),
+        112,
+        "2a19c04329f70fd37a3da3af3f0018453310c9eb07e12a2286be7b4e545bed68",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_INVENTORIES))
+def test_param_inventory_is_pinned(case):
+    cfg, count, digest = PARAM_INVENTORIES[case]
+    names = [[n, list(p.value.shape)] for n, p in ChangeModel(cfg).named_params().items()]
+    assert len(names) == count
+    assert hashlib.sha256(json.dumps(names).encode("utf-8")).hexdigest() == digest
+
+
+def test_default_checkpoint_bytes_are_pinned(tmp_path):
+    path = tmp_path / "default.ckpt"
+    save_checkpoint(str(path), ChangeModel(_DEFAULT).param_values(), {"note": "pinned"})
+    digest = "6adfcddad95cc22d0ddba952e97db248be0c9df0f98ba71b27c7244cb58eebe7"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_INVENTORIES))
+def test_named_params_name_every_reachable_param_once(case):
+    model = ChangeModel(PARAM_INVENTORIES[case][0])
+    named = [id(p) for p in model.named_params().values()]
+    assert len(set(named)) == len(named), "a Param is named twice"
+    reached = {id(value) for _, value in reachable(model) if isinstance(value, Param)}
+    assert set(named) == reached
 
 
 @pytest.mark.parametrize("tfr", [True, False])

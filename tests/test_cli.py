@@ -507,6 +507,35 @@ def test_scene_dir_with_bad_rasters_fails_cleanly(tmp_path, clean_scene_dir, cap
     assert not out.exists()
 
 
+def _refuse_forward(*args, **kwargs):
+    raise AssertionError("an unfit scene must be refused before any forward")
+
+
+## name -> (synth-gen flags of the unfit scene, whether it trains or validates, the error)
+UNFIT_SCENE_DIRS = {
+    "val_one_channel": (["--channels", "1"], "--val-scenes", "has 1 channels"),
+    "train_too_short": (["--t", "2"], "--scenes", "fewer than t_train = 3 timestamps"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT_SCENE_DIRS))
+def test_train_refuses_unfit_scene_dir_before_any_forward(tmp_path, clean_scene_dir, capsys,
+                                                          monkeypatch, case):
+    extra, role, message = UNFIT_SCENE_DIRS[case]
+    unfit = make_scene_dir(tmp_path / "unfit", seed=2, extra=extra)
+    scenes = {"--scenes": clean_scene_dir, "--val-scenes": clean_scene_dir, role: unfit}
+    monkeypatch.setattr(cli.ChangeModel, "forward", _refuse_forward)
+    out = tmp_path / "run"
+    argv = ["train", "--scenes", scenes["--scenes"],
+            "--val-scenes", scenes["--val-scenes"], "--t-train", "3", "--patch-size", "8",
+            "--max-epochs", "1", "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--pred-states", "--labels"])
 def test_eval_refuses_non_binary_state_raster(tmp_path, clean_scene_dir, capsys, flag):
     ## probabilities used to truncate to all-zero states and score F1 0
@@ -519,6 +548,65 @@ def test_eval_refuses_non_binary_state_raster(tmp_path, clean_scene_dir, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "seg_probs.rts" in err and "binary" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seg-probs", "--ch-probs"])
+@pytest.mark.parametrize("command", ["integrate", "eval"])
+def test_probability_rasters_outside_unit_interval_are_refused(tmp_path, noisy_scene_dir,
+                                                                capsys, command, flag):
+    ## a raster of 0..255 values used to fuse as clamped probabilities
+    probs = {"--seg-probs": os.path.join(noisy_scene_dir, "seg_probs.rts"),
+             "--ch-probs": os.path.join(noisy_scene_dir, "ch_probs.rts")}
+    scaled = tmp_path / "scaled.rts"
+    write_raster(scaled, read_raster(probs[flag]) * 255.0)
+    probs[flag] = scaled
+    out = tmp_path / "run"
+    argv = [command, "--seg-probs", probs["--seg-probs"], "--ch-probs", probs["--ch-probs"],
+            "--edges", os.path.join(noisy_scene_dir, "manifest.json"), "--out", out]
+    argv += ["--mode", "dense"] if command == "integrate" else ["--labels", noisy_scene_dir]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "scaled.rts" in err and "[0, 1]" in err
+    assert not out.exists()
+
+
+def _short_change_rows(tmp, scene):
+    write_raster(tmp / "ch.rts", read_raster(os.path.join(scene, "ch_probs.rts"))[:2])
+    return tmp / "ch.rts", os.path.join(scene, "manifest.json")
+
+
+def _edges_of_a_longer_series(tmp, scene):
+    ## six dense T=4 rows at the scene's extent, against its T=3 segmentation
+    write_raster(tmp / "ch.rts", np.full((6, 16, 16), 0.25))
+    (tmp / "edges.json").write_text(
+        json.dumps(build_edge_set("dense", 4).to_jsonable()), encoding="utf-8"
+    )
+    return tmp / "ch.rts", tmp / "edges.json"
+
+
+## name -> (writer of change rows and an edge file that do not fit the T=3
+##          scene's seg_probs, the input the error must name)
+UNFIT_CHANGE_INPUTS = {
+    "change_rows_short": (_short_change_rows, "ch.rts"),
+    "edges_of_a_longer_series": (_edges_of_a_longer_series, "seg_probs.rts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT_CHANGE_INPUTS))
+def test_eval_refuses_change_inputs_that_do_not_fit(tmp_path, clean_scene_dir, capsys, case):
+    ## short rows used to end in an IndexError traceback; a longer series'
+    ## edges used to score pairs of the wrong timestamps and exit 0
+    write, named = UNFIT_CHANGE_INPUTS[case]
+    ch, edges = write(tmp_path, clean_scene_dir)
+    out = tmp_path / "rep"
+    argv = ["eval", "--seg-probs", os.path.join(clean_scene_dir, "seg_probs.rts"),
+            "--ch-probs", ch, "--edges", edges, "--labels", clean_scene_dir, "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert named in err
     assert not out.exists()
 
 

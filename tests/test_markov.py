@@ -353,6 +353,10 @@ def test_integrate_rejects_missing_edges():
     ## change rows that the available edge set does not describe
     with pytest.raises(ValueError):
         integrate(seg, ch[:1], adjacent, "adjacent")
+    ## rows of a longer series' edge set, though they hold every requested pair
+    _, ch4, dense4 = random_instance(14, 4, "dense", h=4, w=6)
+    with pytest.raises(ValueError, match="edge set over 4 timestamps"):
+        integrate(seg, ch4, dense4, "adjacent")
 
 
 @pytest.mark.parametrize("table", ["seg", "ch"])

@@ -1,5 +1,7 @@
 """Patch sampling, augmentation, the optimizer, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,49 @@ def test_train_requires_scenes():
         train([], [tiny_scene()], model_cfg, cfg)
     with pytest.raises(ValueError):
         train([tiny_scene()], [], model_cfg, cfg)
+
+
+def _refuse_forward(*args, **kwargs):
+    raise AssertionError("a scene train() cannot use must be refused before any forward")
+
+
+## name -> (training scene, validation scene, backbone scales, the error)
+UNFIT_SCENES = {
+    "val_one_channel": (
+        tiny_scene(), generate(replace(tiny_scene().spec, seed=1, channels=1)), 2,
+        "validation scene 1 of shape (3, 1, 16, 16) has 1 channels, the model takes 3",
+    ),
+    "val_not_divisible": (
+        tiny_scene(), tiny_scene(seed=1, size=18), 3,
+        "validation scene 1 of shape (3, 3, 18, 18) is not divisible by 4",
+    ),
+    "train_too_short": (
+        tiny_scene(t_len=2), tiny_scene(seed=1), 2,
+        "training scene 1 of shape (2, 3, 16, 16) has fewer than t_train = 3 timestamps",
+    ),
+    "train_smaller_than_patch": (
+        tiny_scene(size=12), tiny_scene(seed=1), 2,
+        "training scene 1 of shape (3, 3, 12, 12) is smaller than a 16-pixel patch",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT_SCENES))
+def test_train_refuses_unfit_scenes_before_any_forward(monkeypatch, case):
+    train_scene, val_scene, scales, message = UNFIT_SCENES[case]
+    model_cfg, cfg = tiny_configs(t_train=3)
+    model_cfg = replace(model_cfg, backbone=replace(model_cfg.backbone, scales=scales))
+    monkeypatch.setattr(ChangeModel, "forward", _refuse_forward)
+    with pytest.raises(ValueError) as info:
+        train([train_scene], [val_scene], model_cfg, cfg)
+    assert str(info.value) == message
+
+
+def test_train_accepts_validation_series_shorter_than_t_train():
+    ## validation draws min(t_train, T) timestamps, so a short series is usable
+    model_cfg, cfg = tiny_configs(t_train=3, max_epochs=1, steps_per_epoch=1)
+    result = train([tiny_scene()], [tiny_scene(seed=1, t_len=2)], model_cfg, cfg)
+    assert np.isfinite(result.best_val_loss)
 
 
 def test_loss_term_count_matches_series_and_edges():

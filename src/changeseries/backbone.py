@@ -116,7 +116,6 @@ class Decoder:
             )
         self.head = Conv2d(cfg.base_width, 1, 1, rng)
         self.squash = Sigmoid()
-        self._split = None
 
     def params(self):
         for i, (up, block) in enumerate(zip(self.ups, self.blocks)):
@@ -130,12 +129,10 @@ class Decoder:
     def forward(self, pyramid: list[np.ndarray], *, keep: bool = True) -> np.ndarray:
         if len(pyramid) != self.cfg.scales:
             raise ValueError(f"expected {self.cfg.scales} pyramid levels, got {len(pyramid)}")
-        self._split = []
         h = pyramid[-1]
         for i, (up, block) in enumerate(zip(self.ups, self.blocks)):
             skip = pyramid[self.cfg.scales - 2 - i]
             u = up.forward(h, keep=keep)
-            self._split.append(u.shape[1])
             h = block.forward(np.concatenate([u, skip], axis=1), keep=keep)
         return self.squash.forward(self.head.forward(h, keep=keep), keep=keep)[:, 0]
 
@@ -144,7 +141,8 @@ class Decoder:
         g = self.head.backward(self.squash.backward(d_out[:, None]))
         for i in range(len(self.blocks) - 1, -1, -1):
             dcat = self.blocks[i].backward(g)
-            split = self._split[i]
+            ## ups[i] outputs the width of the skip it is concatenated with
+            split = self.cfg.width_at(self.cfg.scales - 2 - i)
             du, dskip = dcat[:, :split], dcat[:, split:]
             d_pyramid[self.cfg.scales - 2 - i] = dskip
             g = self.ups[i].backward(du)

@@ -14,10 +14,18 @@ Two exact decoders:
   sets, O(T) per pixel.  A cyclic set is decoded by cutset conditioning:
   fixing x_1 turns the edges (1, 2) and (1, T) into unaries on x_2 and x_T
   and leaves an adjacent chain over x_2..x_T, so the sweep runs twice.
-- map_decode_general: enumeration of all 2^T assignments for any edge set,
-  O(2^T (T + N)) flops per pixel.  Each pixel's log-score is rewritten as
-  C + sum_t h_t x_t + sum_(t,k) q_tk x_t x_k, so a block of assignments is
-  scored against a block of pixels by one matrix product.
+- map_decode_general: branch and bound over the 2^T assignments, for any
+  edge set.  Assignments come in blocks that fix the leading
+  T - FREE_STATES states.  A block's upper bound is its fixed nodes and
+  fixed-fixed edges exactly, plus each free node's better state given its
+  edges from fixed nodes, plus each free-free edge's better cell.  A pixel
+  skips every block whose bound falls below its incumbent: the larger of
+  the thresholded series' score and the best score found so far.  Each
+  pixel's log-score is rewritten as C + sum_t h_t x_t + sum_(t,k) q_tk
+  x_t x_k, so the blocks a pixel enters are scored by one matrix product
+  per block of pixels.  The work depends on how confident the inputs are:
+  all-0.5 input ties every assignment, so nothing is pruned and all 2^T
+  assignments of every pixel are scored, O(2^T (T + N)) flops per pixel.
 
 Ties break toward the lexicographically smallest state vector: state 0
 preferred, earliest timestamp most significant.  Every returned score is
@@ -43,9 +51,12 @@ T_MAX = 20
 ## integrate decodes the flattened raster in tiles of this many pixels
 TILE_PIXELS = 4096
 ## the general decoder scores at most this many (assignment, pixel) pairs
-## at once, over at most ASSIGN_BLOCK assignments
+## at once
 BLOCK_ELEMENTS = 1 << 20
-ASSIGN_BLOCK = 1 << 12
+## its assignment blocks fix the leading T - FREE_STATES states; on
+## corrupted truth at 64², 8 to 10 free states decode dense T=12 and T=16
+## within 15% of each other, and T=12 in one unbounded block is 2.4x slower
+FREE_STATES = 9
 ## matrix-product scores this close to a pixel's best, relative to the sum
 ## of its absolute log-potentials, are rescored canonically
 TIE_RTOL = 1e-9
@@ -203,13 +214,78 @@ def _assignment_features(start: int, stop: int, t_len: int, tt, kk) -> np.ndarra
     return np.concatenate([x, x[:, tt] * x[:, kk]], axis=1)
 
 
-def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
-    """Exact MAP by scoring every assignment; works for any edge set.
+def _block_bounds(node: np.ndarray, edge: np.ndarray, pairs, n_fixed: int):
+    """Yield an upper bound (m,) on each block's log-scores, blocks in order.
 
-    Scores come from one matrix product per block of at most ASSIGN_BLOCK
-    assignments and BLOCK_ELEMENTS (assignment, pixel) pairs, so memory is
-    bounded at every T.  Candidates near a pixel's best are rescored
-    canonically and the first maximum in assignment order wins.
+    Block b holds the assignments whose leading n_fixed states x spell b.
+    Its bound sums the fixed nodes and fixed-fixed edges exactly, each free
+    node's better state with its edges from fixed nodes folded in, and each
+    free-free edge's better cell.  Let d_n = edge[n, 1] - edge[n, 0] and
+    D_t = sum_(fixed k) x_k d_(k, t).  Free node t in state 0 scores
+    P_t + D_t, and in state 1 Q_t - D_t, where P_t (Q_t) is node[t, 0]
+    (node[t, 1]) plus cell 0 (cell 1) of every edge from a fixed node to t.
+    Its better state scores -D_t + max(P_t + 2 D_t, Q_t), and the -D_t
+    parts join the fixed terms.  So with rows phi = [1 | x | x_t x_k] over
+    the fixed states and fixed-fixed edges, a group of blocks is bounded by
+    phi @ fixed + sum_t max((phi[:, :1 + n_fixed] @ free)_t, Q_t): two
+    matrix products and one pass over at most BLOCK_ELEMENTS values.
+    """
+    t_len, _, m = node.shape
+    n_free = t_len - n_fixed
+    differ = edge[:, 1] - edge[:, 0]
+    const = node[:n_fixed, 0].sum(axis=0)
+    h_fixed = node[:n_fixed, 1] - node[:n_fixed, 0]
+    p_free, q_free = node[n_fixed:, 0].copy(), node[n_fixed:, 1].copy()
+    d_free = np.zeros((n_fixed, n_free, m))
+    both_fixed = []
+    for n, (t, k) in enumerate(pairs):
+        if k < n_fixed:
+            both_fixed.append(n)
+            const = const + edge[n, 0]
+            h_fixed[t] += differ[n]
+            h_fixed[k] += differ[n]
+        elif t < n_fixed:
+            p_free[k - n_fixed] += edge[n, 0]
+            q_free[k - n_fixed] += edge[n, 1]
+            d_free[t, k - n_fixed] = differ[n]
+        else:
+            const = const + np.maximum(edge[n, 0], edge[n, 1])
+    fixed = np.concatenate([const[None], h_fixed - d_free.sum(axis=1), -2.0 * differ[both_fixed]])
+    free = np.concatenate([p_free[None], 2.0 * d_free]).reshape(1 + n_fixed, n_free * m)
+    ff_t = np.array([pairs[n][0] for n in both_fixed], dtype=np.intp)
+    ff_k = np.array([pairs[n][1] for n in both_fixed], dtype=np.intp)
+
+    n_blocks = 2**n_fixed
+    g_blk = max(1, BLOCK_ELEMENTS // max(1, n_free * m))
+    for g_lo in range(0, n_blocks, g_blk):
+        g_hi = min(g_lo + g_blk, n_blocks)
+        phi = np.concatenate(
+            [np.ones((g_hi - g_lo, 1)), _assignment_features(g_lo, g_hi, n_fixed, ff_t, ff_k)],
+            axis=1,
+        )
+        per_free = (phi[:, : 1 + n_fixed] @ free).reshape(g_hi - g_lo, n_free, m)
+        np.maximum(per_free, q_free, out=per_free)
+        yield from phi @ fixed + per_free.sum(axis=1)
+
+
+def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
+    """Exact MAP by branch and bound over assignment blocks; any edge set.
+
+    Block b holds the 2^F assignments, F = min(T, FREE_STATES), whose leading
+    T - F states spell b.  Blocks are visited in ascending order.  A pixel
+    enters a block only if the block's upper bound (_block_bounds) is at
+    least its incumbent less its TIE_RTOL band; the incumbent is the larger
+    of the thresholded series' canonical score and the best canonical score
+    found so far.  A pruned block holds no assignment that could win or
+    tie, so the result is that of full enumeration.  A series that fits in
+    one block is scored without a bound.  The live pixels of a block are
+    scored by one matrix product per BLOCK_ELEMENTS (assignment, pixel)
+    pairs, so memory is bounded at every T.  Candidates near a pixel's best
+    are rescored canonically and the first maximum in assignment order wins.
+
+    How much is pruned depends on how confident the inputs are: all-0.5
+    input ties every assignment, so every block is entered and all 2^T
+    assignments of every pixel are scored.
     """
     t_len = pot.node.shape[0]
     if t_len > T_MAX:
@@ -231,23 +307,33 @@ def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     tol = TIE_RTOL * (1.0 + np.abs(node).sum(axis=(0, 1)) + 2.0 * np.abs(edge).sum(axis=(0, 1)))
     shifts = (t_len - 1 - np.arange(t_len))[:, None]
 
-    n_assign = 2**t_len
-    a_blk = min(n_assign, ASSIGN_BLOCK)
-    p_blk = BLOCK_ELEMENTS // a_blk
+    n_fixed = max(0, t_len - FREE_STATES)
+    a_blk = 2 ** (t_len - n_fixed)
+    p_blk = max(1, BLOCK_ELEMENTS // a_blk)
+    every = np.arange(m)
+    if n_fixed:
+        bounds = _block_bounds(node, edge, pairs, n_fixed)
+        thresholded = (node[:, 1] > node[:, 0]).astype(np.intp)
+        incumbent = _canonical_score(node, edge, pairs, thresholded, every)
     top = np.full(m, -np.inf)  # best matrix-product score so far
     best = np.full(m, -np.inf)  # best canonical score so far
     best_idx = np.zeros(m, dtype=np.int64)
-    for a_lo in range(0, n_assign, a_blk):
-        feats = _assignment_features(a_lo, min(a_lo + a_blk, n_assign), t_len, tt, kk)
-        for p_lo in range(0, m, p_blk):
-            p_hi = min(p_lo + p_blk, m)
-            score = feats @ coef[:, p_lo:p_hi]
-            top[p_lo:p_hi] = np.maximum(top[p_lo:p_hi], score.max(axis=0))
-            near = score >= top[p_lo:p_hi] - tol[p_lo:p_hi]
+    for a_lo in range(0, 2**t_len, a_blk):
+        live = every
+        if n_fixed:
+            live = np.flatnonzero(next(bounds) + tol >= np.maximum(incumbent, best))
+            if not live.size:
+                continue
+        feats = _assignment_features(a_lo, a_lo + a_blk, t_len, tt, kk)
+        for p_lo in range(0, len(live), p_blk):
+            block = live[p_lo : p_lo + p_blk]
+            score = feats @ coef[:, block]
+            top[block] = np.maximum(top[block], score.max(axis=0))
+            near = score >= top[block] - tol[block]
             ## few assignments are near any pixel's best: scan only their rows
             rows = np.flatnonzero(near.any(axis=1))
             a_near, p_near = np.nonzero(near[rows])
-            cand, cols = a_lo + rows[a_near], p_lo + p_near
+            cand, cols = a_lo + rows[a_near], block[p_near]
             exact = _canonical_score(node, edge, pairs, (cand >> shifts) & 1, cols)
             ## per pixel: highest canonical score, then smallest assignment
             order = np.lexsort((cand, -exact, cols))

@@ -47,6 +47,26 @@ def brute_force_map(seg, ch, edges):
     return states, scores
 
 
+def numpy_enumeration(seg, ch, edges):
+    """Reference decoder for long series: every assignment's log-score at once.
+
+    Rows of the (2^T, pixels) score table run in lexicographic order, so
+    argmax returns the first maximum.
+    """
+    t_len, h, w = seg.shape
+    assign = np.array(list(itertools.product((0, 1), repeat=t_len)), dtype=bool)
+    p = np.clip(seg.reshape(t_len, -1), PROB_EPS, 1.0 - PROB_EPS)
+    c = np.clip(ch.reshape(len(edges), -1), PROB_EPS, 1.0 - PROB_EPS)
+    score = np.zeros((len(assign), h * w))
+    for t in range(t_len):
+        score += np.log(np.where(assign[:, t, None], p[t], 1.0 - p[t]))
+    for n, (t, k) in enumerate(edges.index_pairs):
+        score += np.log(np.where((assign[:, t] != assign[:, k])[:, None], c[n], 1.0 - c[n]))
+    best = score.argmax(axis=0)
+    states = assign[best].T.astype(np.uint8).reshape(t_len, h, w)
+    return states, score.max(axis=0).reshape(h, w)
+
+
 def random_instance(seed, t_len, kind, h=4, w=5):
     rng = SeededRng(seed)
     edges = build_edge_set(kind, t_len)
@@ -131,19 +151,21 @@ def test_chain_hand_case_likely_change_splits_states():
 def test_full_tie_selects_all_zero_assignment():
     ## all probabilities exactly one half: every assignment scores the
     ## same, and every decoder must return the lexicographically smallest;
-    ## at T=12 all 4096 assignments of the general decoder are rescored
-    for t_len in (2, 3, 4, 8, 12):
-        for kind in ("adjacent", "cyclic", "dense"):
-            edges = build_edge_set(kind, t_len)
-            seg = np.full((t_len, 2, 2), 0.5)
-            ch = np.full((len(edges), 2, 2), 0.5)
-            pot = build_potentials(seg, ch, edges)
-            decoders = [map_decode_general]
-            if kind != "dense" or t_len <= 3:
-                decoders.append(map_decode_chain)
-            for decode in decoders:
-                states, _ = decode(pot)
-                assert not states.any(), (kind, t_len, decode.__name__)
+    ## at T=12 all 4096 assignments of the general decoder are rescored,
+    ## and at T=16 no block's bound prunes, so all 128 blocks are entered
+    cases = [(t_len, kind, (2, 2)) for t_len in (2, 3, 4, 8, 12)
+             for kind in ("adjacent", "cyclic", "dense")]
+    for t_len, kind, (h, w) in cases + [(16, "dense", (1, 2))]:
+        edges = build_edge_set(kind, t_len)
+        seg = np.full((t_len, h, w), 0.5)
+        ch = np.full((len(edges), h, w), 0.5)
+        pot = build_potentials(seg, ch, edges)
+        decoders = [map_decode_general]
+        if kind != "dense" or t_len <= 3:
+            decoders.append(map_decode_chain)
+        for decode in decoders:
+            states, _ = decode(pot)
+            assert not states.any(), (kind, t_len, decode.__name__)
 
 
 def test_partial_tie_prefers_smaller_prefix():
@@ -157,23 +179,25 @@ def test_partial_tie_prefers_smaller_prefix():
         states, _ = decode(pot)
         assert states[:, 0, 0].tolist() == [0, 0]
     ## one timestamp leans to state 1 and all else is neutral: half of
-    ## the assignments tie, and the smallest of them fixes only that one
-    for t_len in (8, 12):
-        for kind in ("adjacent", "cyclic", "dense"):
-            edges = build_edge_set(kind, t_len)
-            ch = np.full((len(edges), 1, 1), 0.5)
-            for lean in (0, t_len - 1):
-                seg = np.full((t_len, 1, 1), 0.5)
-                seg[lean] = 0.9
-                want = [0] * t_len
-                want[lean] = 1
-                pot = build_potentials(seg, ch, edges)
-                decoders = [map_decode_general]
-                if kind != "dense":
-                    decoders.append(map_decode_chain)
-                for decode in decoders:
-                    states, _ = decode(pot)
-                    assert states[:, 0, 0].tolist() == want, (kind, t_len, lean)
+    ## the assignments tie, and the smallest of them fixes only that one;
+    ## at dense T=16 a lean on the first timestamp prunes blocks 0-63 and
+    ## the winner opens block 64, a lean on the last ties every block
+    cases = [(t_len, kind) for t_len in (8, 12) for kind in ("adjacent", "cyclic", "dense")]
+    for t_len, kind in cases + [(16, "dense")]:
+        edges = build_edge_set(kind, t_len)
+        ch = np.full((len(edges), 1, 1), 0.5)
+        for lean in (0, t_len - 1):
+            seg = np.full((t_len, 1, 1), 0.5)
+            seg[lean] = 0.9
+            want = [0] * t_len
+            want[lean] = 1
+            pot = build_potentials(seg, ch, edges)
+            decoders = [map_decode_general]
+            if kind != "dense":
+                decoders.append(map_decode_chain)
+            for decode in decoders:
+                states, _ = decode(pot)
+                assert states[:, 0, 0].tolist() == want, (kind, t_len, lean)
 
 
 @pytest.mark.parametrize("t_len", [2, 3, 4, 5])
@@ -181,6 +205,9 @@ def test_partial_tie_prefers_smaller_prefix():
 def test_decoders_match_brute_force(t_len, kind):
     seg, ch, edges = random_instance(100 + t_len, t_len, kind)
     want_states, want_scores = brute_force_map(seg, ch, edges)
+    np_states, np_scores = numpy_enumeration(seg, ch, edges)
+    assert np.array_equal(np_states, want_states)
+    assert np.allclose(np_scores, want_scores, atol=1e-9)
     pot = build_potentials(seg, ch, edges)
     got_states, got_scores = map_decode_general(pot)
     assert np.array_equal(got_states, want_states)
@@ -219,10 +246,15 @@ def test_chain_rejects_other_edge_sets():
         map_decode_chain(build_potentials(seg, ch, edges))
 
 
-@pytest.mark.parametrize("kind,t_len", [("cyclic", 8), ("cyclic", 14), ("dense", 10)])
+@pytest.mark.parametrize(
+    "kind,t_len", [("cyclic", 8), ("cyclic", 14), ("dense", 10), ("dense", 12), ("dense", 16)]
+)
 def test_decoders_match_brute_force_long_series(kind, t_len):
+    ## dense T >= 12 spans several bounded assignment blocks; the pure-Python
+    ## scan takes seconds per pixel there, so numpy enumerates instead
     seg, ch, edges = random_instance(400 + t_len, t_len, kind, h=2, w=2)
-    want_states, want_scores = brute_force_map(seg, ch, edges)
+    reference = numpy_enumeration if t_len >= 12 else brute_force_map
+    want_states, want_scores = reference(seg, ch, edges)
     pot = build_potentials(seg, ch, edges)
     decoders = [map_decode_general] + ([map_decode_chain] if kind == "cyclic" else [])
     for decode in decoders:
@@ -256,18 +288,71 @@ def test_cyclic_decodes_at_the_enumeration_cap():
 
 
 def test_general_blocking_does_not_change_results(monkeypatch):
+    ## T=8 fits one block of 2^FREE_STATES assignments and is decoded
+    ## without a bound; with 2 or 4 free states it spans 64 or 16 blocks,
+    ## and BLOCK_ELEMENTS splits both the bounds and the pixels
     seg, ch, edges = random_instance(22, 8, "dense", h=5, w=7)
     pot = build_potentials(seg, ch, edges)
     base_states, base_scores = map_decode_general(pot)
-    monkeypatch.setattr(markov, "ASSIGN_BLOCK", 16)
     monkeypatch.setattr(markov, "BLOCK_ELEMENTS", 64)
-    states, scores = map_decode_general(pot)
-    assert np.array_equal(states, base_states)
-    assert np.array_equal(scores, base_scores)
+    for free in (8, 4, 2):
+        monkeypatch.setattr(markov, "FREE_STATES", free)
+        states, scores = map_decode_general(pot)
+        assert np.array_equal(states, base_states)
+        assert np.array_equal(scores, base_scores)
     ## a tie spread over many assignment blocks still goes to the first
     tie = build_potentials(np.full((8, 2, 2), 0.5), np.full((len(edges), 2, 2), 0.5), edges)
     states, _ = map_decode_general(tie)
     assert not states.any()
+
+
+def entered_blocks(monkeypatch, pot):
+    """Decode pot and return the start of every assignment block it scores."""
+    starts = []
+    features = markov._assignment_features
+
+    def spy(start, stop, t_len, tt, kk):
+        if t_len == pot.node.shape[0]:
+            starts.append(start)
+        return features(start, stop, t_len, tt, kk)
+
+    monkeypatch.setattr(markov, "_assignment_features", spy)
+    states, scores = map_decode_general(pot)
+    monkeypatch.setattr(markov, "_assignment_features", features)
+    return starts, states, scores
+
+
+@pytest.mark.parametrize("confident", [True, False])
+def test_general_bound_prunes_without_changing_results(monkeypatch, confident):
+    ## confident inputs that agree with one series leave only that series'
+    ## block: every other block loses at least one confident term.  All-0.5
+    ## inputs tie every assignment, so no block is pruned.  Either way the
+    ## result equals full enumeration in one unbounded block, bitwise.
+    t_len, free = 10, 4
+    edges = build_edge_set("dense", t_len)
+    truth = np.array([0, 0, 1, 1, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    if confident:
+        seg = np.where(truth, 0.99, 0.01)[:, None, None] * np.ones((1, 2, 3))
+        ch = np.stack([np.full((2, 3), 0.99 if truth[t] != truth[k] else 0.01)
+                       for t, k in edges.index_pairs])
+    else:
+        seg, ch = np.full((t_len, 2, 3), 0.5), np.full((len(edges), 2, 3), 0.5)
+    pot = build_potentials(seg, ch, edges)
+    monkeypatch.setattr(markov, "FREE_STATES", t_len)
+    (start,), want_states, want_scores = entered_blocks(monkeypatch, pot)
+    assert start == 0
+    monkeypatch.setattr(markov, "FREE_STATES", free)
+    starts, states, scores = entered_blocks(monkeypatch, pot)
+    n_blocks = 2 ** (t_len - free)
+    if confident:
+        prefix = int("".join(map(str, truth[: t_len - free])), 2)
+        assert starts == [prefix << free]
+        assert np.array_equal(states, np.broadcast_to(truth[:, None, None], states.shape))
+    else:
+        assert starts == [b << free for b in range(n_blocks)]
+        assert not states.any()
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(scores, want_scores)
 
 
 def test_uniform_edges_reduce_to_thresholding():

@@ -19,13 +19,13 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
-from .changefeat import EdgeSet, XorChanges, build_edge_set
+from .changefeat import EDGE_KINDS, EdgeSet, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
 from .markov import MODES, integrate
 from .model import ChangeModel, ModelConfig
@@ -65,14 +65,14 @@ class RunDir:
         self._written.append(p)
         return p
 
-    def write_manifest(self, payload: dict) -> None:
-        payload = dict(payload)
-        payload["tool"] = "changeseries"
-        payload["version"] = __version__
-        payload["command"] = self.command
-        with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    def write_json(self, name: str, obj) -> None:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+    def write_manifest(self, payload: dict) -> None:
+        self.write_json("manifest.json", {**payload, "tool": "changeseries",
+                                          "version": __version__, "command": self.command})
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None:
@@ -175,22 +175,11 @@ def _load_model(path: str) -> tuple[ChangeModel, TrainConfig]:
 
 def _cmd_synth_gen(args) -> int:
     run = RunDir(args.out, "synth-gen")
-    spec = SceneSpec(
-        seed=args.seed,
-        t_len=args.t,
-        height=args.height,
-        width=args.width,
-        channels=args.channels,
-        n_buildings=args.buildings,
-        min_extent=args.min_extent,
-        max_extent=args.max_extent,
-        noise_sigma=args.noise_sigma,
-        illumination_jitter=args.illumination_jitter,
-        demolition_rate=args.demolition_rate,
-    )
+    spec = SceneSpec.from_args(args)
+    corrupt_seed = spec.seed + 1 if args.corrupt_seed is None else args.corrupt_seed
     scene = generate(spec)
     seg_probs, ch_probs = corrupt_to_probabilities(
-        scene, args.seg_noise, args.ch_noise, seed=args.corrupt_seed
+        scene, args.seg_noise, args.ch_noise, seed=corrupt_seed
     )
     dense = build_edge_set("dense", spec.t_len)
     with run:
@@ -205,7 +194,7 @@ def _cmd_synth_gen(args) -> int:
                     "spec": spec.to_jsonable(),
                     "seg_noise": args.seg_noise,
                     "ch_noise": args.ch_noise,
-                    "corrupt_seed": args.corrupt_seed,
+                    "corrupt_seed": corrupt_seed,
                 },
                 "outputs": {
                     "images": "images.rts",
@@ -245,8 +234,7 @@ def _cmd_train(args) -> int:
     val_scenes = [load_scene_dir(p) for p in args.val_scenes]
     channels = train_scenes[0].images.shape[1]
     model_cfg = _model_config_from_args(args, channels)
-    ## every TrainConfig field is a train flag of the same name
-    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    cfg = TrainConfig.from_args(args)
     result = train(train_scenes, val_scenes, model_cfg, cfg)
     with run:
         meta = {
@@ -341,9 +329,7 @@ def _cmd_integrate(args) -> int:
             "min_log_score": float(series.map_score.min()),
             "max_log_score": float(series.map_score.max()),
         }
-        with open(run.path("score_summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        run.write_json("score_summary.json", summary)
         run.write_manifest(
             {
                 "config": {
@@ -414,9 +400,7 @@ def _cmd_eval(args) -> int:
     reports = [evaluate(task, pred_seg, pred_change, true_seg) for task in tasks]
     print(_format_table(reports))
     with run:
-        with open(run.path("report.json"), "w", encoding="utf-8") as fh:
-            json.dump([r.to_jsonable() for r in reports], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        run.write_json("report.json", [r.to_jsonable() for r in reports])
         run.write_manifest(
             {
                 "config": {
@@ -581,9 +565,7 @@ def _cmd_ablate(args) -> int:
 
     columns = list(dict.fromkeys(key for row in rows for key in row))
     with run:
-        with open(run.path("table.json"), "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        run.write_json("table.json", rows)
         with open(run.path("table.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
@@ -610,17 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth-gen", help="render a synthetic labeled scene")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=4)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--buildings", type=int, default=12)
-    p.add_argument("--min-extent", type=int, default=6)
-    p.add_argument("--max-extent", type=int, default=14)
-    p.add_argument("--noise-sigma", type=float, default=0.03)
-    p.add_argument("--illumination-jitter", type=float, default=0.06)
-    p.add_argument("--demolition-rate", type=float, default=0.0)
+    SceneSpec.add_flags(p, t_len={"flag": "--t"}, n_buildings={"flag": "--buildings"})
     p.add_argument("--seg-noise", type=float, default=0.0, help="label corruption sigma")
     p.add_argument("--ch-noise", type=float, default=0.0)
     p.add_argument("--corrupt-seed", type=int, default=None)
@@ -630,22 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on scene directories")
     p.add_argument("--scenes", nargs="+", required=True)
     p.add_argument("--val-scenes", nargs="+", required=True)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--steps-per-epoch", type=int, default=10)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--patch-size", type=int, default=64)
-    p.add_argument("--candidate-crops", type=int, default=20)
-    p.add_argument("--base-prob", type=float, default=0.05)
-    p.add_argument("--t-train", type=int, default=4)
-    p.add_argument("--edge-kind", choices=("adjacent", "cyclic", "dense"), default="dense")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scales", type=int, default=3)
-    p.add_argument("--base-width", type=int, default=8)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--attn-layers", type=int, default=2)
+    TrainConfig.add_flags(p, edge_kind={"choices": EDGE_KINDS})
+    p.add_argument("--scales", type=int, default=BackboneConfig.scales)
+    p.add_argument("--base-width", type=int, default=BackboneConfig.base_width)
+    p.add_argument("--heads", type=int, default=TemporalConfig.heads)
+    p.add_argument("--attn-layers", type=int, default=TemporalConfig.layers)
     p.add_argument("--no-batchnorm", action="store_true")
     tfr = p.add_mutually_exclusive_group()
     tfr.add_argument("--tfr", dest="tfr", action="store_true", default=True)
@@ -656,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run a checkpoint over an image series")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True)
-    p.add_argument("--edge-kind", choices=("adjacent", "cyclic", "dense"), default=None)
+    p.add_argument("--edge-kind", choices=EDGE_KINDS, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_infer)
 
@@ -689,8 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "corrupt_seed", "absent") is None:
-        args.corrupt_seed = args.seed + 1
     try:
         return args.func(args)
     except (CliError, ValueError, KeyError, OSError, TrainingDiverged) as exc:

@@ -1,4 +1,4 @@
-"""One JSON round-trip for the frozen configuration dataclasses.
+"""The JSON and command-line round trip of the frozen configuration dataclasses.
 
 A config is written as an object with one key per dataclass field; a field
 may rename its key through the field metadata {"key": ...}.  Reading
@@ -9,6 +9,11 @@ keys are ignored.  A missing key, a value of the wrong type or a
 non-object raises ValueError naming the key and any list index.
 from_partial first merges the object, recursively, over the defaults'
 to_jsonable(), so there a missing key takes its default.
+
+On the command line, add_flags gives an argparse parser one flag per field,
+in field order: the field name with dashes, typed by its annotation and
+defaulted by the field, so a flag's default is the dataclass's own.
+from_args builds the config back from the parsed namespace.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import fields, is_dataclass
 
 
 class JsonConfig:
-    """Mixin giving a config dataclass to_jsonable, from_jsonable and from_partial."""
+    """Mixin giving a config dataclass its JSON and command-line round trip."""
 
     def to_jsonable(self) -> dict:
         out = {}
@@ -36,6 +41,23 @@ class JsonConfig:
     @classmethod
     def from_partial(cls, obj):
         return cls.from_jsonable(_merge(cls().to_jsonable(), obj))
+
+    @classmethod
+    def add_flags(cls, parser, **overrides) -> None:
+        """Add --field-name for every field.  overrides[name] holds extra add_argument
+        keywords; its "flag" entry renames the flag.  A metavar spells the flag
+        it follows ("--t T", not "--t T_LEN")."""
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            kwargs = dict(overrides.get(f.name, {}))
+            flag = kwargs.pop("flag", "--" + f.name.replace("_", "-"))
+            if "choices" not in kwargs:
+                kwargs["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+            parser.add_argument(flag, dest=f.name, type=hints[f.name], default=f.default, **kwargs)
+
+    @classmethod
+    def from_args(cls, args):
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _merge(default, value):

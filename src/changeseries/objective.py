@@ -10,7 +10,7 @@ segmentation quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -128,14 +128,7 @@ class EvalReport:
     counts: tuple  # per-map MapCounts
 
     def to_jsonable(self) -> dict:
-        return {
-            "task": self.task,
-            "f1": self.f1,
-            "iou": self.iou,
-            "micro_f1": self.micro_f1,
-            "micro_iou": self.micro_iou,
-            "counts": [{"tp": c.tp, "fp": c.fp, "fn": c.fn} for c in self.counts],
-        }
+        return asdict(self)
 
 
 def _report(task: str, pairs: list[tuple[np.ndarray, np.ndarray]]) -> EvalReport:

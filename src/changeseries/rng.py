@@ -39,15 +39,9 @@ _DERIVE_SALT = 0xD1B54A32D192ED03
 _TWO_NEG53 = 2.0 ** -53
 
 
-def _mix64_scalar(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    ## uint64 arithmetic wraps modulo 2^64, matching the scalar path
+    ## uint64 array arithmetic wraps modulo 2^64 silently; a numpy uint64
+    ## scalar would warn on the same wrap, so callers pass arrays
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -70,8 +64,8 @@ class SeededRng:
 
     def derive(self, tag: int) -> "SeededRng":
         """Child stream; independent of this stream's position."""
-        child = _mix64_scalar(self._seed ^ ((_DERIVE_SALT + (int(tag) * _GAMMA)) & _MASK64))
-        return SeededRng(child)
+        z = self._seed ^ ((_DERIVE_SALT + (int(tag) * _GAMMA)) & _MASK64)
+        return SeededRng(int(_mix64_array(np.array([z], dtype=np.uint64))[0]))
 
     def skip(self, n: int) -> "SeededRng":
         """Advance past n outputs without drawing them; returns this stream."""
@@ -106,9 +100,7 @@ class SeededRng:
     def normal(self, size=None):
         """Standard normals via Box-Muller; consumes two uniforms each."""
         if size is None:
-            u1 = self.uniform()
-            u2 = self.uniform()
-            return float(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))
+            return float(self.normal(1)[0])
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         u = self.uniform(2 * n)

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -859,3 +860,93 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert excinfo.value.code == 0
     assert "changeseries" in capsys.readouterr().out
+
+
+## every subcommand's actions as (option strings, default, choices, required);
+## a flag added, dropped, renamed or given a moved default shows here
+SUBCOMMAND_FLAGS = {
+    "synth-gen": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--seed"], 0, None, False),
+        (["--t"], 4, None, False),
+        (["--height"], 64, None, False),
+        (["--width"], 64, None, False),
+        (["--channels"], 3, None, False),
+        (["--buildings"], 12, None, False),
+        (["--min-extent"], 6, None, False),
+        (["--max-extent"], 14, None, False),
+        (["--noise-sigma"], 0.03, None, False),
+        (["--illumination-jitter"], 0.06, None, False),
+        (["--demolition-rate"], 0.0, None, False),
+        (["--seg-noise"], 0.0, None, False),
+        (["--ch-noise"], 0.0, None, False),
+        (["--corrupt-seed"], None, None, False),
+        (["--out"], None, None, False),
+    ],
+    "train": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--scenes"], None, None, True),
+        (["--val-scenes"], None, None, True),
+        (["--lr"], 0.0001, None, False),
+        (["--weight-decay"], 0.01, None, False),
+        (["--batch-size"], 4, None, False),
+        (["--max-epochs"], 100, None, False),
+        (["--steps-per-epoch"], 10, None, False),
+        (["--patience"], 10, None, False),
+        (["--patch-size"], 64, None, False),
+        (["--candidate-crops"], 20, None, False),
+        (["--base-prob"], 0.05, None, False),
+        (["--t-train"], 4, None, False),
+        (["--edge-kind"], "dense", ("adjacent", "cyclic", "dense"), False),
+        (["--seed"], 0, None, False),
+        (["--scales"], 3, None, False),
+        (["--base-width"], 8, None, False),
+        (["--heads"], 2, None, False),
+        (["--attn-layers"], 2, None, False),
+        (["--no-batchnorm"], False, None, False),
+        (["--tfr"], True, None, False),
+        (["--no-tfr"], True, None, False),
+        (["--out"], None, None, False),
+    ],
+    "infer": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--checkpoint"], None, None, True),
+        (["--images"], None, None, True),
+        (["--edge-kind"], None, ("adjacent", "cyclic", "dense"), False),
+        (["--out"], None, None, False),
+    ],
+    "integrate": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--seg-probs"], None, None, True),
+        (["--ch-probs"], None, None, False),
+        (["--edges"], None, None, False),
+        (["--mode"], None, ("degenerate", "adjacent", "cyclic", "dense"), True),
+        (["--workers"], 1, None, False),
+        (["--out"], None, None, False),
+    ],
+    "eval": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--pred-states"], None, None, False),
+        (["--seg-probs"], None, None, False),
+        (["--ch-probs"], None, None, False),
+        (["--edges"], None, None, False),
+        (["--labels"], None, None, True),
+        (["--task"], "all", ("bitemporal", "continuous", "segmentation", "all"), False),
+        (["--out"], None, None, False),
+    ],
+    "ablate": [
+        (["-h", "--help"], "==SUPPRESS==", None, False),
+        (["--config"], None, None, True),
+        (["--out"], None, None, False),
+    ],
+}
+
+
+def test_subcommand_flags_are_pinned():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: [(a.option_strings, a.default, a.choices, a.required) for a in sub._actions]
+        for name, sub in subparsers.choices.items()
+    }
+    assert got == SUBCOMMAND_FLAGS

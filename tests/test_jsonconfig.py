@@ -1,4 +1,6 @@
-"""The one JSON round-trip shared by ModelConfig, TrainConfig and SceneSpec."""
+"""The JSON and command-line round trip shared by ModelConfig, TrainConfig and SceneSpec."""
+
+import argparse
 
 import pytest
 from malformed import MODEL_CONFIGS
@@ -54,3 +56,15 @@ def test_unknown_keys_ignored_and_ints_taken_as_floats():
     cfg = TrainConfig.from_jsonable(obj)
     assert cfg.lr == 1.0 and type(cfg.lr) is float
     assert ModelConfig.from_jsonable(ModelConfig(temporal=None).to_jsonable()).temporal is None
+
+
+@pytest.mark.parametrize("cfg, overrides", [
+    (SceneSpec(seed=3, t_len=6, n_buildings=2, noise_sigma=0.125), {"t_len": {"flag": "--t"}}),
+    (TrainConfig(lr=0.5, batch_size=2, edge_kind="cyclic"), {"edge_kind": {"choices": ("cyclic",)}}),
+])
+def test_command_line_round_trip(cfg, overrides):
+    parser = argparse.ArgumentParser()
+    type(cfg).add_flags(parser, **overrides)
+    assert type(cfg).from_args(parser.parse_args([])) == type(cfg)()
+    argv = [s for a in parser._actions[1:] for s in (a.option_strings[0], str(getattr(cfg, a.dest)))]
+    assert type(cfg).from_args(parser.parse_args(argv)) == cfg

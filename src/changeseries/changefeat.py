@@ -89,40 +89,43 @@ def build_edge_set(kind: str, t_len: int) -> EdgeSet:
     return EdgeSet(kind, t_len)
 
 
-class XorChanges(Mapping):
-    """Change maps of a (T, H, W) binary state stack, computed on lookup.
+class PairMaps(Mapping):
+    """(H, W) maps of an edge set's pairs, each computed when it is looked up.
 
-    Pair (t, k), 1-based with t < k, maps to the XOR of states t and k as
-    uint8.  Iteration lists the dense pairs in lexicographic order.
+    Pair (t, k), 1-based, maps to row(n, t - 1, k - 1), n being the pair's
+    index in the edge set; a pair outside the set is a KeyError.  Iteration
+    and len follow the edge set.  Nothing is cached.
     """
 
-    def __init__(self, states: np.ndarray):
-        self.states = states
+    def __init__(self, edges: EdgeSet, row):
+        self.edges = edges
+        self.row = row
 
     def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
-        t, k = pair
-        if not 1 <= t < k <= len(self.states):
-            raise KeyError(f"pair {pair} outside 1 <= t < k <= {len(self.states)}")
-        return np.logical_xor(self.states[t - 1], self.states[k - 1]).astype(np.uint8)
+        n = self.edges.index_of(pair)
+        t, k = self.edges.edges[n]
+        return self.row(n, t - 1, k - 1)
 
     def __iter__(self):
-        return iter(_expected_edges("dense", len(self.states)))
+        return iter(self.edges.edges)
 
     def __len__(self) -> int:
-        return len(self.states) * (len(self.states) - 1) // 2
+        return len(self.edges)
 
     def stack(self, edges: EdgeSet) -> np.ndarray:
-        """(N, H, W) change maps following the edge set's order."""
+        """(N, H, W) maps following the order of `edges`, which may be a subset."""
         return np.stack([self[pair] for pair in edges.edges], axis=0)
 
 
-def edge_difference(features: np.ndarray, earlier: int, later: int) -> np.ndarray:
-    """later-minus-earlier difference of per-timestamp features (0-based indices)."""
-    t_len = features.shape[0]
-    for idx in (earlier, later):
-        if not 0 <= idx < t_len:
-            raise ValueError(f"timestamp index {idx} outside series of length {t_len}")
-    return features[later] - features[earlier]
+def XorChanges(states: np.ndarray) -> PairMaps:
+    """Change maps of a (T, H, W) binary state stack over every dense pair.
+
+    Pair (t, k) maps to the XOR of states t and k as uint8.
+    """
+    return PairMaps(
+        EdgeSet("dense", len(states)),
+        lambda n, t, k: np.logical_xor(states[t], states[k]).astype(np.uint8),
+    )
 
 
 def change_pyramid(refined: list[np.ndarray], edges: EdgeSet) -> list[np.ndarray]:

@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
-from .changefeat import EDGE_KINDS, EdgeSet, XorChanges, build_edge_set
+from .changefeat import EDGE_KINDS, EdgeSet, PairMaps, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
 from .markov import MODES, integrate
 from .model import ChangeModel, ModelConfig
-from .objective import TASKS, ThresholdedChanges, check_binary, evaluate, threshold_probs
+from .objective import TASKS, check_binary, evaluate, threshold_probs
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate, stack_probs
 from .temporal import TemporalConfig
 from .tensor import export_pgm, read_raster, write_raster
@@ -89,7 +89,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliError(f"{path}: expected a JSON object, got {type(obj).__name__}")
@@ -374,6 +374,8 @@ def _cmd_eval(args) -> int:
     true_seg = _load_truth(args.labels)
     if args.pred_states:
         states = _read_states(args.pred_states)
+        if states.ndim != 3:
+            raise CliError(f"{args.pred_states}: expected (T, H, W), got rank {states.ndim}")
         pred_seg, pred_change = states, XorChanges(states)
         source = {"pred_states": os.path.abspath(args.pred_states)}
     else:
@@ -390,7 +392,7 @@ def _cmd_eval(args) -> int:
             raise CliError(f"{args.ch_probs}: shape {ch_probs.shape}, expected {rows}, "
                            f"one row per edge of {args.edges}")
         pred_seg = threshold_probs(seg_probs)
-        pred_change = ThresholdedChanges(ch_probs, edges)
+        pred_change = PairMaps(edges, lambda n, t, k: threshold_probs(ch_probs[n]))
         source = {
             "seg_probs": os.path.abspath(args.seg_probs),
             "ch_probs": os.path.abspath(args.ch_probs),
@@ -592,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth-gen", help="render a synthetic labeled scene")
-    SceneSpec.add_flags(p, t_len={"flag": "--t"}, n_buildings={"flag": "--buildings"})
+    SceneSpec.add_flags(p)
     p.add_argument("--seg-noise", type=float, default=0.0, help="label corruption sigma")
     p.add_argument("--ch-noise", type=float, default=0.0)
     p.add_argument("--corrupt-seed", type=int, default=None)
@@ -602,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on scene directories")
     p.add_argument("--scenes", nargs="+", required=True)
     p.add_argument("--val-scenes", nargs="+", required=True)
-    TrainConfig.add_flags(p, edge_kind={"choices": EDGE_KINDS})
+    TrainConfig.add_flags(p)
     p.add_argument("--scales", type=int, default=BackboneConfig.scales)
     p.add_argument("--base-width", type=int, default=BackboneConfig.base_width)
     p.add_argument("--heads", type=int, default=TemporalConfig.heads)

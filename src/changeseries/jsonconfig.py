@@ -11,8 +11,10 @@ from_partial first merges the object, recursively, over the defaults'
 to_jsonable(), so there a missing key takes its default.
 
 On the command line, add_flags gives an argparse parser one flag per field,
-in field order: the field name with dashes, typed by its annotation and
-defaulted by the field, so a flag's default is the dataclass's own.
+in field order: the JSON key with dashes unless the metadata {"flag": ...}
+spells it, typed by its annotation, limited to the metadata {"choices": ...}
+if given, and defaulted by the field, so a flag's default is the dataclass's
+own.
 from_args builds the config back from the parsed namespace.
 """
 
@@ -43,16 +45,17 @@ class JsonConfig:
         return cls.from_jsonable(_merge(cls().to_jsonable(), obj))
 
     @classmethod
-    def add_flags(cls, parser, **overrides) -> None:
-        """Add --field-name for every field.  overrides[name] holds extra add_argument
-        keywords; its "flag" entry renames the flag.  A metavar spells the flag
-        it follows ("--t T", not "--t T_LEN")."""
+    def add_flags(cls, parser) -> None:
+        """Add one flag per field, spelled by its metadata's "flag", else by its JSON
+        key with dashes, and limited to its metadata's "choices" if it has any.  A
+        metavar spells the flag it follows ("--t T", not "--t T_LEN")."""
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            kwargs = dict(overrides.get(f.name, {}))
-            flag = kwargs.pop("flag", "--" + f.name.replace("_", "-"))
-            if "choices" not in kwargs:
-                kwargs["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+            flag = f.metadata.get("flag", "--" + f.metadata.get("key", f.name).replace("_", "-"))
+            if "choices" in f.metadata:
+                kwargs = {"choices": f.metadata["choices"]}
+            else:
+                kwargs = {"metavar": flag.lstrip("-").replace("-", "_").upper()}
             parser.add_argument(flag, dest=f.name, type=hints[f.name], default=f.default, **kwargs)
 
     @classmethod

@@ -172,6 +172,8 @@ def evaluate(
     true_seg = np.asarray(true_seg)
     if pred_seg.shape != true_seg.shape:
         raise ValueError(f"shape mismatch {pred_seg.shape} vs {true_seg.shape}")
+    if pred_seg.ndim != 3:
+        raise ValueError(f"evaluation needs (T, H, W) maps, got rank {pred_seg.ndim}")
     t_len = pred_seg.shape[0]
     if t_len < 2:
         raise ValueError("evaluation needs at least 2 timestamps")
@@ -193,13 +195,3 @@ def threshold_probs(probs: np.ndarray, level: float = 0.5) -> np.ndarray:
     """Strict threshold: 1 where p > level, else 0."""
     return (np.asarray(probs) > level).astype(np.uint8)
 
-
-class ThresholdedChanges:
-    """Mapping view over raw change probabilities for one edge set."""
-
-    def __init__(self, ch_probs: np.ndarray, edges):
-        self._probs = ch_probs
-        self._edges = edges
-
-    def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
-        return threshold_probs(self._probs[self._edges.index_of(tuple(pair))])

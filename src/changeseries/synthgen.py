@@ -19,12 +19,11 @@ Everything is a pure function of the SceneSpec seed.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .changefeat import EdgeSet, XorChanges
+from .changefeat import EdgeSet, PairMaps, XorChanges
 from .jsonconfig import JsonConfig
 from .markov import PROB_EPS
 from .rng import SeededRng
@@ -45,7 +44,7 @@ class SceneSpec(JsonConfig):
     height: int = 64
     width: int = 64
     channels: int = 3
-    n_buildings: int = 12
+    n_buildings: int = field(default=12, metadata={"flag": "--buildings"})
     min_extent: int = 6
     max_extent: int = 14
     noise_sigma: float = 0.03
@@ -84,7 +83,7 @@ class Scene:
         return int(self.images.shape[0])
 
     @property
-    def change_labels(self) -> XorChanges:
+    def change_labels(self) -> PairMaps:
         """(t, k) 1-based -> (H, W) uint8 change label, the XOR of seg_labels."""
         return XorChanges(self.seg_labels)
 
@@ -148,61 +147,38 @@ def generate(spec: SceneSpec) -> Scene:
     return Scene(spec=spec, images=images, seg_labels=seg)
 
 
-class CorruptedChanges(Mapping):
-    """Noisy change probabilities of a scene's dense pairs, drawn on lookup.
-
-    Pair (t, k), 1-based with t < k, maps to
-    clamp(XOR label + sigma * gaussian, PROB_EPS, 1 - PROB_EPS) as float64.
-    Its normals start at counter n * 2 * H * W of the stream, n being the
-    pair's index in dense lexicographic order (Box-Muller takes two
-    uniforms per normal): the position a loop drawing every dense pair in
-    that order would reach.  Rows are
-    not cached, so the mapping holds no probability array.  Iteration lists
-    the dense pairs in lexicographic order.
-    """
-
-    def __init__(self, labels: XorChanges, sigma: float, stream: SeededRng):
-        self._labels = labels
-        self._sigma = sigma
-        self._seed = stream.seed
-        self._dense = EdgeSet("dense", len(labels.states))
-
-    def __getitem__(self, pair: tuple[int, int]) -> np.ndarray:
-        label = self._labels[pair].astype(np.float64)
-        rng = SeededRng(self._seed).skip(self._dense.index_of(pair) * 2 * label.size)
-        noisy = label + rng.normal(label.shape) * self._sigma
-        return np.clip(noisy, PROB_EPS, 1.0 - PROB_EPS)
-
-    def __iter__(self):
-        return iter(self._dense.edges)
-
-    def __len__(self) -> int:
-        return len(self._dense)
-
-
 def corrupt_to_probabilities(
     scene: Scene, seg_sigma: float, ch_sigma: float, seed: int
-) -> tuple[np.ndarray, CorruptedChanges]:
+) -> tuple[np.ndarray, PairMaps]:
     """Noisy probabilistic observations of a scene's labels.
 
     Each probability is clamp(label + gaussian(sigma), PROB_EPS, 1 - PROB_EPS).
     Segmentation probabilities are drawn here.  Change probabilities cover
     every dense pair, keyed like Scene.change_labels, and each pair's row is
-    drawn when it is looked up, at its dense-order counter offset, so it
-    equals the row a lexicographic loop over all pairs would have drawn.
+    drawn when it is looked up: its normals start at counter n * 2 * H * W of
+    the change stream, n being the pair's dense index (Box-Muller takes two
+    uniforms per normal), so it equals the row a lexicographic loop over all
+    pairs would have drawn.
     """
     if seg_sigma < 0 or ch_sigma < 0:
         raise ValueError("corruption sigmas must be >= 0")
     root = SeededRng(seed)
     s_rng = root.derive(_STREAM_SEG_CORRUPT)
-    c_rng = root.derive(_STREAM_CH_CORRUPT)
+    c_seed = root.derive(_STREAM_CH_CORRUPT).seed
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
 
     seg = scene.seg_labels.astype(np.float64)
     seg_probs = np.clip(seg + s_rng.normal(seg.shape) * seg_sigma, lo, hi)
-    return seg_probs, CorruptedChanges(scene.change_labels, ch_sigma, c_rng)
+    labels = scene.change_labels
+
+    def corrupted(n: int, t: int, k: int) -> np.ndarray:
+        label = labels.row(n, t, k).astype(np.float64)
+        rng = SeededRng(c_seed).skip(n * 2 * label.size)
+        return np.clip(label + rng.normal(label.shape) * ch_sigma, lo, hi)
+
+    return seg_probs, PairMaps(labels.edges, corrupted)
 
 
-def stack_probs(ch_probs: Mapping, edges: EdgeSet) -> np.ndarray:
+def stack_probs(ch_probs: PairMaps, edges: EdgeSet) -> np.ndarray:
     """(N, H, W) probability stack following the edge set's order."""
-    return np.stack([ch_probs[pair] for pair in edges.edges], axis=0)
+    return ch_probs.stack(edges)

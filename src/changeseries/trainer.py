@@ -41,7 +41,7 @@ class TrainConfig(JsonConfig):
     candidate_crops: int = 20
     base_prob: float = 0.05
     t_train: int = 4
-    edge_kind: str = "dense"
+    edge_kind: str = field(default="dense", metadata={"choices": EDGE_KINDS})
     seed: int = 0
 
     def __post_init__(self):

@@ -16,7 +16,7 @@ import pytest
 from gradcheck import check_layer, fd_grad, max_rel_err
 
 from changeseries.backbone import BackboneConfig
-from changeseries.changefeat import build_edge_set, edge_difference
+from changeseries.changefeat import build_edge_set, change_pyramid
 from changeseries.layers import BatchNorm2d, Conv2d, Sigmoid, TransposeConv2x2
 from changeseries.markov import (
     build_potentials,
@@ -151,19 +151,25 @@ def test_criterion_03_edge_counts(capsys):
 def test_criterion_04_change_feature_algebra(capsys):
     with criterion(capsys, 4, "change features are antisymmetric and telescoping"):
         rng = SeededRng(4)
+        dense = build_edge_set("dense", 5)
         for _ in range(5):
             feats = rng.normal((5, 6, 4, 4))
-            for t in range(5):
-                for k in range(5):
-                    anti = edge_difference(feats, t, k) + edge_difference(feats, k, t)
-                    assert np.max(np.abs(anti)) <= 1e-12
-                    for m in range(5):
-                        gap = (
-                            edge_difference(feats, t, k)
-                            + edge_difference(feats, k, m)
-                            - edge_difference(feats, t, m)
-                        )
-                        assert np.max(np.abs(gap)) <= 1e-12
+            fwd = change_pyramid([feats], dense)[0]
+            rev = change_pyramid([feats[::-1]], dense)[0]
+
+            def difference(t, k):
+                """feats[k] - feats[t] for 0-based t != k, one change row of the
+                series (t < k) or of its time reversal (t > k)."""
+                if t < k:
+                    return fwd[dense.index_of((t + 1, k + 1))]
+                return rev[dense.index_of((5 - t, 5 - k))]
+
+            for t, k in itertools.permutations(range(5), 2):
+                anti = difference(t, k) + difference(k, t)
+                assert np.max(np.abs(anti)) <= 1e-12
+            for t, k, m in itertools.permutations(range(5), 3):
+                gap = difference(t, k) + difference(k, m) - difference(t, m)
+                assert np.max(np.abs(gap)) <= 1e-12
 
 
 ## ------------------------------------- 5: temporal refinement structure

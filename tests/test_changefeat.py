@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from changeseries.changefeat import (
     EdgeSet,
+    PairMaps,
     build_edge_set,
     change_pyramid,
     change_pyramid_backward,
-    edge_difference,
 )
 from changeseries.rng import SeededRng
 
@@ -80,28 +80,41 @@ def test_jsonable_round_trip():
         assert EdgeSet.from_jsonable(edges.to_jsonable()) == edges
 
 
-def test_edge_difference_values_and_bounds():
+def dense_and_reversed_rows(x):
+    """Dense change rows of a series and of its time reversal.
+
+    Reversal maps 1-based pair (t, k) to (T + 1 - k, T + 1 - t), whose row is
+    the same two timestamps subtracted the other way round.
+    """
+    dense = build_edge_set("dense", len(x))
+    fwd = change_pyramid([x], dense)[0]
+    rev = change_pyramid([x[::-1]], dense)[0]
+    return dense, fwd, rev
+
+
+def test_change_pyramid_values_and_bounds():
     x = SeededRng(3).uniform((4, 2, 3, 3))
-    d = edge_difference(x, 1, 3)
+    dense = build_edge_set("dense", 4)
+    d = change_pyramid([x], dense)[0][dense.index_of((2, 4))]
     assert np.array_equal(d, x[3] - x[1])
     with pytest.raises(ValueError):
-        edge_difference(x, 0, 4)
+        change_pyramid([x], build_edge_set("dense", 5))
 
 
 def test_antisymmetry_exact():
     x = SeededRng(8).uniform((5, 3, 4, 4)) * 10.0 - 5.0
-    for a in range(5):
-        for b in range(5):
-            fwd = edge_difference(x, a, b)
-            rev = edge_difference(x, b, a)
-            assert np.all(fwd + rev == 0.0)
+    dense, fwd, rev = dense_and_reversed_rows(x)
+    for n, (t, k) in enumerate(dense.edges):
+        assert np.all(fwd[n] + rev[dense.index_of((6 - k, 6 - t))] == 0.0)
 
 
 def test_telescoping_identity():
     x = SeededRng(9).uniform((6, 2, 8, 8)) * 4.0 - 2.0
-    for t in range(4):
-        lhs = edge_difference(x, t, t + 1) + edge_difference(x, t + 1, t + 2)
-        rhs = edge_difference(x, t, t + 2)
+    dense = build_edge_set("dense", 6)
+    rows = change_pyramid([x], dense)[0]
+    for t in range(1, 5):
+        lhs = rows[dense.index_of((t, t + 1))] + rows[dense.index_of((t + 1, t + 2))]
+        rhs = rows[dense.index_of((t, t + 2))]
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -112,9 +125,31 @@ def test_telescoping_identity():
 )
 def test_antisymmetry_property(t_len, seed):
     x = SeededRng(seed).uniform((t_len, 2, 3, 3)) * 6.0 - 3.0
-    a = SeededRng(seed ^ 1).randint(t_len)
-    b = SeededRng(seed ^ 2).randint(t_len)
-    assert np.all(edge_difference(x, a, b) + edge_difference(x, b, a) == 0.0)
+    dense, fwd, rev = dense_and_reversed_rows(x)
+    n = SeededRng(seed ^ 1).randint(len(dense))
+    t, k = dense.edges[n]
+    assert np.all(fwd[n] + rev[dense.index_of((t_len + 1 - k, t_len + 1 - t))] == 0.0)
+
+
+def test_pair_maps_look_up_through_the_edge_set():
+    calls = []
+
+    def row(n, t, k):
+        calls.append((n, t, k))
+        return np.full((2, 3), 10 * t + k)
+
+    edges = build_edge_set("cyclic", 4)
+    maps = PairMaps(edges, row)
+    assert list(maps) == list(edges.edges) and len(maps) == 4
+    assert np.array_equal(maps[(1, 4)], np.full((2, 3), 3))
+    assert calls == [(1, 0, 3)]
+    for pair in [(1, 3), (4, 1), (0, 1), (2, 2)]:
+        with pytest.raises(KeyError):
+            maps[pair]
+    adjacent = build_edge_set("adjacent", 4)
+    stack = maps.stack(adjacent)
+    assert stack.shape == (3, 2, 3)
+    assert [int(r[0, 0]) for r in stack] == [1, 12, 23]
 
 
 def test_change_pyramid_rows_follow_edge_order():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -431,6 +432,27 @@ def test_eval_rejects_malformed_edge_file(tmp_path, clean_scene_dir, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["integrate", "eval", "ablate"])
+def test_json_file_not_utf8_names_its_path(tmp_path, clean_scene_dir, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    argv = {
+        "integrate": ["integrate", "--seg-probs", os.path.join(clean_scene_dir, "seg_probs.rts"),
+                      "--ch-probs", os.path.join(clean_scene_dir, "ch_probs.rts"),
+                      "--edges", bad, "--mode", "dense"],
+        "eval": ["eval", "--seg-probs", os.path.join(clean_scene_dir, "seg_probs.rts"),
+                 "--ch-probs", os.path.join(clean_scene_dir, "ch_probs.rts"),
+                 "--edges", bad, "--labels", clean_scene_dir],
+        "ablate": ["ablate", "--config", bad],
+    }[command]
+    assert run_cli([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: cannot read JSON from {bad}: ")
+    assert not out.exists()
+
+
 def _drop(obj, key):
     del obj[key]
 
@@ -549,6 +571,18 @@ def test_eval_refuses_non_binary_state_raster(tmp_path, clean_scene_dir, capsys,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "seg_probs.rts" in err and "binary" in err
+    assert not out.exists()
+
+
+def test_eval_refuses_state_rasters_that_are_not_a_series(tmp_path, clean_scene_dir, capsys):
+    ## a flattened series would be read as one timestamp per pixel
+    flat = tmp_path / "flat.rts"
+    write_raster(flat, read_raster(os.path.join(clean_scene_dir, "seg_labels.rts")).reshape(-1))
+    out = tmp_path / "rep"
+    assert run_cli(["eval", "--pred-states", flat, "--labels", flat, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "flat.rts" in err and "(T, H, W)" in err
     assert not out.exists()
 
 
@@ -683,18 +717,15 @@ def test_run_dir_removes_partial_outputs_on_failure(tmp_path):
 
 def test_manifest_replay_is_byte_identical(tmp_path, clean_scene_dir):
     config = read_manifest(clean_scene_dir)["config"]
-    spec = config["spec"]
-    argv = ["synth-gen",
-            "--seed", spec["seed"], "--t", spec["t"],
-            "--height", spec["height"], "--width", spec["width"],
-            "--channels", spec["channels"], "--buildings", spec["n_buildings"],
-            "--min-extent", spec["min_extent"], "--max-extent", spec["max_extent"],
-            "--noise-sigma", spec["noise_sigma"],
-            "--illumination-jitter", spec["illumination_jitter"],
-            "--demolition-rate", spec["demolition_rate"],
-            "--seg-noise", config["seg_noise"], "--ch-noise", config["ch_noise"],
-            "--corrupt-seed", config["corrupt_seed"],
-            "--out", tmp_path / "replay"]
+    spec = SceneSpec.from_jsonable(config["spec"])
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {a.dest: a.option_strings[0] for a in subparsers.choices["synth-gen"]._actions}
+    argv = ["synth-gen"]
+    for f in fields(SceneSpec):
+        argv += [flags[f.name], getattr(spec, f.name)]
+    argv += ["--seg-noise", config["seg_noise"], "--ch-noise", config["ch_noise"],
+             "--corrupt-seed", config["corrupt_seed"], "--out", tmp_path / "replay"]
     assert run_cli(argv) == 0
     for name in ("images.rts", "seg_labels.rts", "change_labels.rts",
                  "seg_probs.rts", "ch_probs.rts", "manifest.json"):

@@ -58,13 +58,13 @@ def test_unknown_keys_ignored_and_ints_taken_as_floats():
     assert ModelConfig.from_jsonable(ModelConfig(temporal=None).to_jsonable()).temporal is None
 
 
-@pytest.mark.parametrize("cfg, overrides", [
-    (SceneSpec(seed=3, t_len=6, n_buildings=2, noise_sigma=0.125), {"t_len": {"flag": "--t"}}),
-    (TrainConfig(lr=0.5, batch_size=2, edge_kind="cyclic"), {"edge_kind": {"choices": ("cyclic",)}}),
+@pytest.mark.parametrize("cfg", [
+    SceneSpec(seed=3, t_len=6, n_buildings=2, noise_sigma=0.125),
+    TrainConfig(lr=0.5, batch_size=2, edge_kind="cyclic"),
 ])
-def test_command_line_round_trip(cfg, overrides):
+def test_command_line_round_trip(cfg):
     parser = argparse.ArgumentParser()
-    type(cfg).add_flags(parser, **overrides)
+    type(cfg).add_flags(parser)
     assert type(cfg).from_args(parser.parse_args([])) == type(cfg)()
     argv = [s for a in parser._actions[1:] for s in (a.option_strings[0], str(getattr(cfg, a.dest)))]
     assert type(cfg).from_args(parser.parse_args(argv)) == cfg

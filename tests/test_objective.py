@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import fd_grad, max_rel_err
-from changeseries.changefeat import build_edge_set
+from changeseries.changefeat import PairMaps, build_edge_set
 from changeseries.objective import (
     SMOOTH,
     MapCounts,
-    ThresholdedChanges,
     binary_metrics,
     evaluate,
     jaccard_loss,
@@ -241,6 +240,8 @@ def test_evaluate_rejects_bad_inputs():
         evaluate("bitemporal", pred_seg[:3], changes, true_seg)
     with pytest.raises(ValueError):
         evaluate("bitemporal", pred_seg, {}, true_seg)
+    with pytest.raises(ValueError, match="rank 1"):
+        evaluate("bitemporal", pred_seg.reshape(-1), changes, true_seg.reshape(-1))
 
 
 def test_report_jsonable():
@@ -260,7 +261,7 @@ def test_thresholded_changes_view():
     rng = SeededRng(9)
     edges = build_edge_set("adjacent", 3)
     probs = rng.uniform((2, 4, 4))
-    view = ThresholdedChanges(probs, edges)
+    view = PairMaps(edges, lambda n, t, k: threshold_probs(probs[n]))
     assert np.array_equal(view[(2, 3)], threshold_probs(probs[1]))
     with pytest.raises(KeyError):
         view[(1, 3)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonconfig import JsonConfig
-from .layers import Conv2d, ConvBlock, MaxPool2x2, Sigmoid, TransposeConv2x2
+from .layers import Conv2d, ConvBlock, Layer, MaxPool2x2, Sigmoid, TransposeConv2x2
 from .rng import SeededRng
 from .tensor import RasterFormatError, _atomic_write, _decode_raster, _encode_raster
 
@@ -58,8 +58,11 @@ def pyramid_dims(cfg: BackboneConfig, height: int, width: int) -> list[tuple[int
     ]
 
 
-class Encoder:
-    """Timestamp-shared feature extractor returning the full pyramid."""
+class Encoder(Layer):
+    """Timestamp-shared feature extractor returning the full pyramid.
+
+    Block s (s = 1 .. S-1) is also the attribute down{s}, its record name.
+    """
 
     def __init__(self, cfg: BackboneConfig, rng: SeededRng):
         self.cfg = cfg
@@ -71,16 +74,9 @@ class Encoder:
         self.blocks = []
         for s in range(1, cfg.scales):
             self.pools.append(MaxPool2x2())
-            self.blocks.append(
-                ConvBlock(cfg.width_at(s - 1), cfg.width_at(s), cfg.use_batchnorm, rng)
-            )
-
-    def params(self):
-        for name, p in self.entry.params():
-            yield f"entry.{name}", p
-        for i, block in enumerate(self.blocks):
-            for name, p in block.params():
-                yield f"down{i + 1}.{name}", p
+            block = ConvBlock(cfg.width_at(s - 1), cfg.width_at(s), cfg.use_batchnorm, rng)
+            self.blocks.append(block)
+            setattr(self, f"down{s}", block)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> list[np.ndarray]:
         pyramid_dims(self.cfg, x.shape[2], x.shape[3])
@@ -98,33 +94,27 @@ class Encoder:
         self.entry.backward(grad)
 
 
-class Decoder:
+class Decoder(Layer):
     """Pyramid-to-probability-map decoder with skip concatenation.
 
     The deepest pyramid level seeds the walk; levels S-2 .. 0 enter as
-    skips.  Concatenation order is (upsampled, skip).
+    skips.  Concatenation order is (upsampled, skip).  Step i's layers are
+    also the attributes up{i} and block{i}, their record names.
     """
 
     def __init__(self, cfg: BackboneConfig, rng: SeededRng):
         self.cfg = cfg
         self.ups = []
         self.blocks = []
-        for s in range(cfg.scales - 2, -1, -1):
-            self.ups.append(TransposeConv2x2(cfg.width_at(s + 1), cfg.width_at(s), rng))
-            self.blocks.append(
-                ConvBlock(2 * cfg.width_at(s), cfg.width_at(s), cfg.use_batchnorm, rng)
-            )
+        for i, s in enumerate(range(cfg.scales - 2, -1, -1)):
+            up = TransposeConv2x2(cfg.width_at(s + 1), cfg.width_at(s), rng)
+            block = ConvBlock(2 * cfg.width_at(s), cfg.width_at(s), cfg.use_batchnorm, rng)
+            self.ups.append(up)
+            self.blocks.append(block)
+            setattr(self, f"up{i}", up)
+            setattr(self, f"block{i}", block)
         self.head = Conv2d(cfg.base_width, 1, 1, rng)
         self.squash = Sigmoid()
-
-    def params(self):
-        for i, (up, block) in enumerate(zip(self.ups, self.blocks)):
-            for name, p in up.params():
-                yield f"up{i}.{name}", p
-            for name, p in block.params():
-                yield f"block{i}.{name}", p
-        for name, p in self.head.params():
-            yield f"head.{name}", p
 
     def forward(self, pyramid: list[np.ndarray], *, keep: bool = True) -> np.ndarray:
         if len(pyramid) != self.cfg.scales:

@@ -20,8 +20,6 @@ def _expected_edges(kind: str, t_len: int) -> list[tuple[int, int]]:
     if kind == "adjacent":
         pairs = [(t, t + 1) for t in range(1, t_len)]
     elif kind == "cyclic":
-        if t_len < 2:
-            raise ValueError("cyclic edges need at least 2 timestamps")
         pairs = {(t, t + 1) for t in range(1, t_len)}
         pairs.add((1, t_len))
         pairs = list(pairs)
@@ -44,8 +42,8 @@ class EdgeSet:
     edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t_len < 1:
-            raise ValueError("series length must be >= 1")
+        if self.t_len < 2:
+            raise ValueError("edge sets need at least 2 timestamps")
         object.__setattr__(self, "edges", tuple(_expected_edges(self.kind, self.t_len)))
 
     def __len__(self) -> int:
@@ -84,8 +82,6 @@ def build_edge_set(kind: str, t_len: int) -> EdgeSet:
     (the wrap-around pair coincides with the single adjacent pair there, and
     edge sets hold no duplicates).  For T = 3 cyclic equals dense.
     """
-    if t_len < 2:
-        raise ValueError("edge sets need at least 2 timestamps")
     return EdgeSet(kind, t_len)
 
 
@@ -140,8 +136,7 @@ def change_pyramid(refined: list[np.ndarray], edges: EdgeSet) -> list[np.ndarray
             raise ValueError(
                 f"pyramid level has {level.shape[0]} timestamps, edge set expects {edges.t_len}"
             )
-        rows = [level[k] - level[t] for t, k in edges.index_pairs]
-        out.append(np.stack(rows, axis=0) if rows else np.zeros((0,) + level.shape[1:]))
+        out.append(np.stack([level[k] - level[t] for t, k in edges.index_pairs], axis=0))
     return out
 
 

@@ -20,9 +20,9 @@ input_grad=False (the network's first) skips dx, which no one reads.
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
 skipping anything else, lists included.  Attribute names and __init__
-order are thus the checkpoint's record names and order.  A composite whose
-record names are not attribute paths (Encoder, Decoder, TemporalRefiner)
-defines its own params().
+order are thus the checkpoint's record names and order.  A composite that
+iterates over a list of children also assigns each child to the attribute
+that is its record name.
 """
 
 from __future__ import annotations
@@ -207,7 +207,11 @@ class BatchNorm2d(Layer):
 
 
 class Identity(Layer):
-    """Stands in for BatchNorm2d when normalization is switched off."""
+    """Passes its input through unchanged.
+
+    Stands in for BatchNorm2d when normalization is switched off, and for
+    each scale's TemporalRefiner when the model has none.
+    """
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         return x

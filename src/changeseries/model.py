@@ -18,6 +18,7 @@ import numpy as np
 from .backbone import BackboneConfig, Decoder, Encoder
 from .changefeat import EdgeSet, change_pyramid, change_pyramid_backward
 from .jsonconfig import JsonConfig
+from .layers import Identity, Layer
 from .rng import SeededRng
 from .temporal import TemporalConfig, TemporalRefiner
 
@@ -35,35 +36,33 @@ class ModelConfig(JsonConfig):
             raise ValueError("base width must be divisible by the head count")
 
 
-class ChangeModel:
+class ChangeModel(Layer):
+    """The network as one Layer tree: params() names every checkpoint record.
+
+    Refiner s is also the attribute temporal.scale{s}.  Without a refiner
+    each scale passes through an Identity, which owns no parameters.
+    """
+
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         rng = SeededRng(cfg.seed).derive(_STREAM_INIT)
         ## construction order fixes the initialization draw order
         self.encoder = Encoder(cfg.backbone, rng)
-        self.refiners = None
-        if cfg.temporal is not None:
-            self.refiners = [
-                TemporalRefiner(cfg.backbone.width_at(s), cfg.temporal, rng)
-                for s in range(cfg.backbone.scales)
-            ]
+        self.temporal = Layer()
+        self.refiners = [
+            Identity()
+            if cfg.temporal is None
+            else TemporalRefiner(cfg.backbone.width_at(s), cfg.temporal, rng)
+            for s in range(cfg.backbone.scales)
+        ]
+        for s, refiner in enumerate(self.refiners):
+            setattr(self.temporal, f"scale{s}", refiner)
         self.seg_decoder = Decoder(cfg.backbone, rng)
         self.change_decoder = Decoder(cfg.backbone, rng)
         self._edges = None
 
     def named_params(self) -> dict:
-        out = {}
-        for name, p in self.encoder.params():
-            out[f"encoder.{name}"] = p
-        if self.refiners is not None:
-            for s, refiner in enumerate(self.refiners):
-                for name, p in refiner.params():
-                    out[f"temporal.scale{s}.{name}"] = p
-        for name, p in self.seg_decoder.params():
-            out[f"seg_decoder.{name}"] = p
-        for name, p in self.change_decoder.params():
-            out[f"change_decoder.{name}"] = p
-        return out
+        return dict(self.params())
 
     def param_values(self) -> dict:
         return {name: p.value.copy() for name, p in self.named_params().items()}
@@ -101,10 +100,7 @@ class ChangeModel:
         ## the edge set doubles as the mark that the layer caches are live
         self._edges = edges if keep else None
         pyramid = self.encoder.forward(images, keep=keep)
-        if self.refiners is not None:
-            refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
-        else:
-            refined = pyramid
+        refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
         seg = self.seg_decoder.forward(refined, keep=keep)
         diff = change_pyramid(refined, edges)
         ch = self.change_decoder.forward(diff, keep=keep)
@@ -118,6 +114,4 @@ class ChangeModel:
         d_refined = change_pyramid_backward(d_diff, edges)
         d_from_seg = self.seg_decoder.backward(d_seg)
         merged = [a + b for a, b in zip(d_refined, d_from_seg)]
-        if self.refiners is not None:
-            merged = [r.backward(g) for r, g in zip(self.refiners, merged)]
-        self.encoder.backward(merged)
+        self.encoder.backward([r.backward(g) for r, g in zip(self.refiners, merged)])

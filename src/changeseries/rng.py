@@ -117,14 +117,6 @@ class SeededRng:
         u = self.uniform(size)
         return (u * n).astype(np.int64)
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n); consumes n - 1 uniforms."""
-        out = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
-
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n) (partial Fisher-Yates), unsorted."""
         if not 0 <= k <= n:

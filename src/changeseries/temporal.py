@@ -144,8 +144,11 @@ class TransformerEncoderLayer(Layer):
         return dh + self.ln1.backward(dn1)
 
 
-class TemporalRefiner:
-    """Stack of encoder layers applied independently at every spatial cell."""
+class TemporalRefiner(Layer):
+    """Stack of encoder layers applied independently at every spatial cell.
+
+    Layer i is also the attribute layer{i}, its record name.
+    """
 
     def __init__(self, dim: int, cfg: TemporalConfig, rng: SeededRng):
         self.dim = dim
@@ -153,12 +156,9 @@ class TemporalRefiner:
         self.blocks = [
             TransformerEncoderLayer(dim, cfg.heads, cfg.ff_mult, rng) for _ in range(cfg.layers)
         ]
-        self._shape = None
-
-    def params(self):
         for i, block in enumerate(self.blocks):
-            for name, p in block.params():
-                yield f"layer{i}.{name}", p
+            setattr(self, f"layer{i}", block)
+        self._shape = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         t, d, h, w = x.shape

@@ -234,6 +234,8 @@ def train(
                 raise ValueError(f"{where} has {c} channels, the model takes {channels}")
             if split == "validation" and (h % divisor or w % divisor):
                 raise ValueError(f"{where} is not divisible by {divisor}")
+            if split == "validation" and t_len < 2:
+                raise ValueError(f"{where} has fewer than 2 timestamps")
             if split == "training" and t_len < cfg.t_train:
                 raise ValueError(f"{where} has fewer than t_train = {cfg.t_train} timestamps")
             if split == "training" and min(h, w) < cfg.patch_size:

@@ -1,5 +1,6 @@
 """Encoder/decoder structure, the full model, and checkpoints."""
 
+import functools
 import hashlib
 import json
 import struct
@@ -271,6 +272,13 @@ def test_named_params_name_every_reachable_param_once(case):
     assert len(set(named)) == len(named), "a Param is named twice"
     reached = {id(value) for _, value in reachable(model) if isinstance(value, Param)}
     assert set(named) == reached
+
+
+@pytest.mark.parametrize("case", sorted(PARAM_INVENTORIES))
+def test_record_names_are_attribute_paths(case):
+    model = ChangeModel(PARAM_INVENTORIES[case][0])
+    for name, p in model.named_params().items():
+        assert functools.reduce(getattr, name.split("."), model) is p, name
 
 
 @pytest.mark.parametrize("tfr", [True, False])

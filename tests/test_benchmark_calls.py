@@ -1,9 +1,9 @@
 """The benchmark's workloads (benchmark/workloads.py) still run on this code.
 
-They call into changeseries directly (corrupt_to_probabilities, stack_probs,
-the command line's infer, integrate and eval) and check every output, so a
-change that breaks one of those calls or alters an output fails here before a
-benchmark run reports it.
+They call into changeseries directly (train, corrupt_to_probabilities,
+stack_probs, the command line's infer, integrate and eval) and check every
+output, so a change that breaks one of those calls or alters an output fails
+here before a benchmark run reports it.
 """
 
 import contextlib
@@ -31,7 +31,9 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("name", ["FuseLong", "InferSeries"])
+@pytest.mark.parametrize(
+    "name", ["FuseLong", "InferSeries", pytest.param("TrainDesk", marks=pytest.mark.slow)]
+)
 def test_one_checked_pass(tmp_path, workloads, name):
     workload = getattr(workloads, name)(0)
     inputs = workload.setup(str(tmp_path))

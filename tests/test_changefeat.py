@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from changeseries.changefeat import (
+    EDGE_KINDS,
     EdgeSet,
     PairMaps,
     build_edge_set,
@@ -60,8 +61,12 @@ def test_edge_set_rejects_non_canonical_lists():
     with pytest.raises(ValueError):
         EdgeSet.from_jsonable({"kind": "dense", "t": 3, "edges": [[1, 2], [2, 3]]})
     assert EdgeSet("dense", 3).edges == ((1, 2), (1, 3), (2, 3))
-    with pytest.raises(ValueError):
-        EdgeSet("cyclic", 1)
+    ## one validity rule: no kind of edge set exists over a single timestamp
+    for kind in EDGE_KINDS:
+        with pytest.raises(ValueError, match="at least 2 timestamps"):
+            EdgeSet(kind, 1)
+        with pytest.raises(ValueError, match="at least 2 timestamps"):
+            EdgeSet.from_jsonable({"kind": kind, "t": 1, "edges": []})
 
 
 def test_index_of_and_index_pairs():

@@ -97,12 +97,6 @@ def test_randint_bounds_and_coverage():
         rng.randint(0)
 
 
-def test_permutation_contains_each_index_once():
-    for n in (1, 2, 5, 17):
-        perm = SeededRng(n).permutation(n)
-        assert sorted(perm.tolist()) == list(range(n))
-
-
 def test_sample_distinct_and_in_range():
     rng = SeededRng(2)
     got = rng.sample(10, 4)

@@ -295,11 +295,19 @@ def _refuse_forward(*args, **kwargs):
     raise AssertionError("a scene train() cannot use must be refused before any forward")
 
 
+def _first_timestamp(scene):
+    return replace(scene, images=scene.images[:1], seg_labels=scene.seg_labels[:1])
+
+
 ## name -> (training scene, validation scene, backbone scales, the error)
 UNFIT_SCENES = {
     "val_one_channel": (
         tiny_scene(), generate(replace(tiny_scene().spec, seed=1, channels=1)), 2,
         "validation scene 1 of shape (3, 1, 16, 16) has 1 channels, the model takes 3",
+    ),
+    "val_one_timestamp": (
+        tiny_scene(), _first_timestamp(tiny_scene(seed=1)), 2,
+        "validation scene 1 of shape (1, 3, 16, 16) has fewer than 2 timestamps",
     ),
     "val_not_divisible": (
         tiny_scene(), tiny_scene(seed=1, size=18), 3,

@@ -373,9 +373,12 @@ def _cmd_eval(args) -> int:
     run = RunDir(args.out, "eval")
     true_seg = _load_truth(args.labels)
     if args.pred_states:
-        states = _read_states(args.pred_states)
+        pred_path = args.pred_states
+        states = _read_states(pred_path)
         if states.ndim != 3:
-            raise CliError(f"{args.pred_states}: expected (T, H, W), got rank {states.ndim}")
+            raise CliError(f"{pred_path}: expected (T, H, W), got rank {states.ndim}")
+        if len(states) < 2:
+            raise CliError(f"{pred_path}: {len(states)} timestamp, eval needs at least 2")
         pred_seg, pred_change = states, XorChanges(states)
         source = {"pred_states": os.path.abspath(args.pred_states)}
     else:
@@ -391,13 +394,16 @@ def _cmd_eval(args) -> int:
         if ch_probs.shape != rows:
             raise CliError(f"{args.ch_probs}: shape {ch_probs.shape}, expected {rows}, "
                            f"one row per edge of {args.edges}")
-        pred_seg = threshold_probs(seg_probs)
+        pred_path, pred_seg = args.seg_probs, threshold_probs(seg_probs)
         pred_change = PairMaps(edges, lambda n, t, k: threshold_probs(ch_probs[n]))
         source = {
             "seg_probs": os.path.abspath(args.seg_probs),
             "ch_probs": os.path.abspath(args.ch_probs),
             "edges": os.path.abspath(args.edges),
         }
+    if pred_seg.shape != true_seg.shape:
+        raise CliError(f"{pred_path}: shape {pred_seg.shape} does not match the labels' "
+                       f"{true_seg.shape} in {args.labels}")
     tasks = list(TASKS) if args.task == "all" else [args.task]
     reports = [evaluate(task, pred_seg, pred_change, true_seg) for task in tasks]
     print(_format_table(reports))

@@ -2,15 +2,21 @@
 
 Conventions: feature maps are (B, C, H, W) float64, where B is whichever
 axis plays the batch role (timestamps for the segmentation path, edge rows
-for the change path).  Each layer caches what its backward pass needs on
-self, so a layer instance handles one forward/backward pair at a time.
-backward(dy) returns dx and accumulates parameter gradients in place.
+for the change path).  Linear and LayerNorm act on the channel axis of
+(B, D, P) input with P positions trailing: the temporal refiner's tokens,
+timestamps in B and the H*W pixels of a scale in P.  Each layer caches
+what its backward pass needs on self, so a layer instance handles one
+forward/backward pair at a time.  backward(dy) returns dx and accumulates
+parameter gradients in place.
 
 forward(x, keep=False) computes the same output and stores None in place
 of the cache, so a forward that no backward follows (inference,
 validation) frees each intermediate as soon as the next layer has read
 it.  Composites pass keep down to every layer they own.  backward after
 such a forward is an error; ChangeModel checks it once for the network.
+The refiner's layers (Linear, LayerNorm, MultiHeadSelfAttention) drop
+their cache once backward has read it, so a training step frees each
+cache as the backward pass reaches it.
 
 Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
 packs the columns of one image at a time, and backward re-packs the whole
@@ -279,8 +285,18 @@ class MaxPool2x2(Layer):
         return view.reshape(b, c, h, w)
 
 
+def channel_outer(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Sum over b of x[b] @ dy[b].T: the weight gradient of a channel-axis product.
+
+    x (B, C_in, P) and dy (B, C_out, P) give (C_in, C_out).  One GEMM per
+    b reads both operands in place; a batched matmul against a swapaxes
+    view copies them first.
+    """
+    return sum(x[b] @ dy[b].T for b in range(len(x)))
+
+
 class Linear(Layer):
-    """y = x @ W + b over the trailing axis."""
+    """y[b] = W.T @ x[b] + bias over the channel axis of (B, D_in, P) input."""
 
     def __init__(self, d_in: int, d_out: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (d_in, d_out), d_in))
@@ -289,20 +305,19 @@ class Linear(Layer):
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         self._x = x if keep else None
-        return x @ self.weight.value + self.bias.value
+        y = np.matmul(self.weight.value.T, x)
+        y += self.bias.value[:, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        d_in = self.weight.value.shape[0]
-        d_out = self.weight.value.shape[1]
-        xf = self._x.reshape(-1, d_in)
-        dyf = dy.reshape(-1, d_out)
-        self.weight.grad += xf.T @ dyf
-        self.bias.grad += dyf.sum(axis=0)
-        return dy @ self.weight.value.T
+        x, self._x = self._x, None
+        self.weight.grad += channel_outer(x, dy)
+        self.bias.grad += dy.sum(axis=(0, 2))
+        return np.matmul(self.weight.value, dy)
 
 
 class LayerNorm(Layer):
-    """Normalization over the trailing feature axis with scale and shift."""
+    """Normalization over the channel axis of (B, D, P) input, with scale and shift."""
 
     def __init__(self, dim: int, eps: float = 1e-5):
         self.eps = eps
@@ -312,25 +327,29 @@ class LayerNorm(Layer):
         self._invstd = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        invstd = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * invstd
+        xhat = x - x.mean(axis=1, keepdims=True)
+        invstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + self.eps)
+        xhat *= invstd
         self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
-        return self.gamma.value * xhat + self.beta.value
+        y = xhat * self.gamma.value[:, None]
+        y += self.beta.value[:, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        d = dy.shape[-1]
-        dgamma = (dy * self._xhat).reshape(-1, d).sum(axis=0)
-        dbeta = dy.reshape(-1, d).sum(axis=0)
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
-        dxhat = dy * self.gamma.value
-        return self._invstd * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - self._xhat * (dxhat * self._xhat).mean(axis=-1, keepdims=True)
-        )
+        ## with dxhat = dy * gamma:
+        ## dx = invstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), means over D
+        xhat, invstd = self._xhat, self._invstd
+        self._xhat = self._invstd = None
+        gamma = self.gamma.value[:, None]
+        self.beta.grad += dy.sum(axis=(0, 2))
+        dxhat_xhat = dy * xhat
+        self.gamma.grad += dxhat_xhat.sum(axis=(0, 2))
+        dxhat_xhat *= gamma
+        dx = dy * gamma
+        dx -= dx.mean(axis=1, keepdims=True)
+        dx -= xhat * dxhat_xhat.mean(axis=1, keepdims=True)
+        dx *= invstd
+        return dx
 
 
 class ConvBlock(Layer):

@@ -107,7 +107,8 @@ class ChangeModel(Layer):
         return seg, ch
 
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:
-        edges = self._edges
+        ## taken, since the refiner's layers drop their caches during backward
+        edges, self._edges = self._edges, None
         if edges is None:
             raise RuntimeError("backward needs a preceding forward with keep=True")
         d_diff = self.change_decoder.backward(d_ch)

@@ -6,6 +6,13 @@ D-dimensional tokens; sinusoidal position codes mark the timestamp, and a
 stack of pre-norm transformer encoder layers mixes information across time.
 Cells never exchange information, and with position codes disabled the
 whole refiner is equivariant to timestamp permutations.
+
+Tokens stay in the encoder's layout, (T, D, P) with P = H*W pixels
+trailing and contiguous, in both directions: position codes broadcast as
+code[:, :, None], LayerNorm reduces over axis 1, every projection is one
+GEMM per timestamp, and attention's T x T scores and context are
+multiply-adds vectorized over P.  Weight gradients are sums over
+timestamps of (D_in, P) x (P, D_out) GEMMs (layers.channel_outer).
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .jsonconfig import JsonConfig
-from .layers import Layer, LayerNorm, Linear, Param, ReLU, kaiming_uniform
+from .layers import Layer, LayerNorm, Linear, Param, ReLU, channel_outer, kaiming_uniform
 from .rng import SeededRng
 
 
@@ -49,18 +56,15 @@ def temporal_encoding(t_len: int, dim: int) -> np.ndarray:
     return out
 
 
-def softmax_last(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class MultiHeadSelfAttention(Layer):
-    """Scaled dot-product attention over the time axis of (P, T, D) input.
+    """Scaled dot-product attention over the time axis of (T, D, P) tokens.
 
-    Per head: scores = Q K^T / sqrt(D_head), rows softmaxed, context = A V.
-    Projections carry no biases; head outputs are concatenated and passed
-    through the output projection.
+    Per pixel and head: scores = Q K^T / sqrt(D_head), softmaxed over the
+    key timestamps, context = A V.  Q, K and V come from one product with
+    the (D, 3D) concatenation wq | wk | wv, and each head's T x T scores
+    and context are multiply-adds vectorized over the pixel axis.
+    Projections carry no biases; head outputs are concatenated along D and
+    passed through the output projection.
     """
 
     def __init__(self, dim: int, heads: int, rng: SeededRng):
@@ -75,45 +79,47 @@ class MultiHeadSelfAttention(Layer):
         self.wo = Param(kaiming_uniform(rng, (dim, dim), dim))
         self._cache = None
 
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        p, t, _ = x.shape
-        return x.reshape(p, t, self.heads, self.d_head).transpose(0, 2, 1, 3)
-
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        p, _, t, _ = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(p, t, self.dim)
+    def _wqkv(self) -> np.ndarray:
+        return np.concatenate([self.wq.value, self.wk.value, self.wv.value], axis=1)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        q = self._split(x @ self.wq.value)
-        k = self._split(x @ self.wk.value)
-        v = self._split(x @ self.wv.value)
-        scale = 1.0 / math.sqrt(self.d_head)
-        attn = softmax_last(np.matmul(q, k.swapaxes(-1, -2)) * scale)
-        ctx = self._merge(np.matmul(attn, v))
-        self._cache = (x, q, k, v, attn, ctx) if keep else None
-        return ctx @ self.wo.value
+        t, d, p = x.shape
+        ## qkv[:, i] is Q, K or V, each (T, heads, D_head, P)
+        qkv = np.matmul(self._wqkv().T, x).reshape(t, 3, self.heads, self.d_head, p)
+        attn = np.einsum("thdp,khdp->tkhp", qkv[:, 0], qkv[:, 1])
+        attn *= 1.0 / math.sqrt(self.d_head)
+        attn -= attn.max(axis=1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=1, keepdims=True)
+        ctx = np.einsum("tkhp,khdp->thdp", attn, qkv[:, 2]).reshape(t, d, p)
+        self._cache = (x, qkv, attn, ctx) if keep else None
+        return np.matmul(self.wo.value.T, ctx)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, q, k, v, attn, ctx = self._cache
-        d = self.dim
-        scale = 1.0 / math.sqrt(self.d_head)
+        (x, qkv, attn, ctx), self._cache = self._cache, None
+        t, d, p = x.shape
+        q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
 
-        self.wo.grad += ctx.reshape(-1, d).T @ dy.reshape(-1, d)
-        dctx = self._split(dy @ self.wo.value.T)
+        self.wo.grad += channel_outer(ctx, dy)
+        dctx = np.matmul(self.wo.value, dy).reshape(t, self.heads, self.d_head, p)
 
-        dattn = np.matmul(dctx, v.swapaxes(-1, -2))
-        dv = np.matmul(attn.swapaxes(-1, -2), dctx)
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores *= scale
-        dq = np.matmul(dscores, k)
-        dk = np.matmul(dscores.swapaxes(-1, -2), q)
+        dqkv = np.empty_like(qkv)
+        np.einsum("tkhp,thdp->khdp", attn, dctx, out=dqkv[:, 2])
+        dscores = np.einsum("thdp,khdp->tkhp", dctx, v)
+        del dctx
+        dscores -= (dscores * attn).sum(axis=1, keepdims=True)
+        dscores *= attn
+        dscores *= 1.0 / math.sqrt(self.d_head)
+        np.einsum("tkhp,khdp->thdp", dscores, k, out=dqkv[:, 0])
+        np.einsum("tkhp,thdp->khdp", dscores, q, out=dqkv[:, 1])
+        del dscores
 
-        dq_m, dk_m, dv_m = self._merge(dq), self._merge(dk), self._merge(dv)
-        xf = x.reshape(-1, d)
-        self.wq.grad += xf.T @ dq_m.reshape(-1, d)
-        self.wk.grad += xf.T @ dk_m.reshape(-1, d)
-        self.wv.grad += xf.T @ dv_m.reshape(-1, d)
-        return dq_m @ self.wq.value.T + dk_m @ self.wk.value.T + dv_m @ self.wv.value.T
+        dqkv = dqkv.reshape(t, 3 * d, p)
+        dw = channel_outer(x, dqkv)
+        self.wq.grad += dw[:, :d]
+        self.wk.grad += dw[:, d : 2 * d]
+        self.wv.grad += dw[:, 2 * d :]
+        return np.matmul(self._wqkv(), dqkv)
 
 
 class TransformerEncoderLayer(Layer):
@@ -133,9 +139,14 @@ class TransformerEncoderLayer(Layer):
         self.ff2 = Linear(ff_mult * dim, dim, rng)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        h = x + self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)
+        h = self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)
+        h += x
         f = self.ff1.forward(self.ln2.forward(h, keep=keep), keep=keep)
-        return h + self.ff2.forward(self.act.forward(f, keep=keep), keep=keep)
+        ## rebinding frees ff1's output before ff2 allocates its own
+        f = self.act.forward(f, keep=keep)
+        y = self.ff2.forward(f, keep=keep)
+        y += h
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dn2 = self.ff1.backward(self.act.backward(self.ff2.backward(dy)))
@@ -158,24 +169,22 @@ class TemporalRefiner(Layer):
         ]
         for i, block in enumerate(self.blocks):
             setattr(self, f"layer{i}", block)
-        self._shape = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         t, d, h, w = x.shape
         if d != self.dim:
             raise ValueError(f"refiner built for width {self.dim}, got {d}")
-        self._shape = x.shape
-        seq = x.reshape(t, d, h * w).transpose(2, 0, 1)  # (P, T, D)
+        seq = x.reshape(t, d, h * w)
         if self.cfg.use_position_codes:
-            seq = seq + temporal_encoding(t, d)[None, :, :]
+            seq = seq + temporal_encoding(t, d)[:, :, None]
         for block in self.blocks:
             seq = block.forward(seq, keep=keep)
-        return seq.transpose(1, 2, 0).reshape(t, d, h, w)
+        return seq.reshape(t, d, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        t, d, h, w = self._shape
-        g = dy.reshape(t, d, h * w).transpose(2, 0, 1)
+        t, d, h, w = dy.shape
+        g = dy.reshape(t, d, h * w)
         for block in reversed(self.blocks):
             g = block.backward(g)
         ## position codes are additive constants: gradient passes through
-        return g.transpose(1, 2, 0).reshape(t, d, h, w)
+        return g.reshape(t, d, h, w)

@@ -116,12 +116,16 @@ def test_criterion_02_gradient_suite(capsys):
             def centered(shape):
                 return rng.uniform(shape) * 2.0 - 1.0
 
+            def tokens(rows):
+                return np.ascontiguousarray(rows.transpose(1, 2, 0))
+
             check_layer(Conv2d(2, 3, 3, rng), centered((2, 2, 6, 6)), rng)
             check_layer(TransposeConv2x2(3, 2, rng), centered((2, 3, 3, 3)), rng)
             check_layer(BatchNorm2d(3), centered((2, 3, 4, 4)), rng)
             check_layer(Sigmoid(), centered((2, 3, 4)) * 3.0, rng)
-            check_layer(MultiHeadSelfAttention(4, 2, rng), centered((2, 3, 4)), rng)
-            check_layer(TransformerEncoderLayer(4, 2, 2, rng), centered((2, 3, 4)), rng)
+            ## attention takes (T, D, P) tokens: 2 pixels of 3 timestamps x 4 features
+            check_layer(MultiHeadSelfAttention(4, 2, rng), tokens(centered((2, 3, 4))), rng)
+            check_layer(TransformerEncoderLayer(4, 2, 2, rng), tokens(centered((2, 3, 4))), rng)
 
             output = rng.uniform((1, 8, 8)) * 0.98 + 0.01
             target = (rng.uniform((1, 8, 8)) > 0.5).astype(np.float64)

@@ -645,6 +645,55 @@ def test_eval_refuses_change_inputs_that_do_not_fit(tmp_path, clean_scene_dir, c
     assert not out.exists()
 
 
+def _one_timestamp(tmp, scene):
+    labels = read_raster(os.path.join(scene, "seg_labels.rts"))
+    write_raster(tmp / "states.rts", labels[:1])
+    return ["--pred-states", tmp / "states.rts"], "states.rts"
+
+
+def _states_of_another_length(tmp, scene):
+    labels = read_raster(os.path.join(scene, "seg_labels.rts"))
+    write_raster(tmp / "states.rts", np.concatenate([labels, labels[:1]]))
+    return ["--pred-states", tmp / "states.rts"], "states.rts"
+
+
+def _states_of_another_extent(tmp, scene):
+    labels = read_raster(os.path.join(scene, "seg_labels.rts"))
+    write_raster(tmp / "states.rts", labels[:, :8, :])
+    return ["--pred-states", tmp / "states.rts"], "states.rts"
+
+
+def _probs_of_another_extent(tmp, scene):
+    ## rows that fit each other and the edge file, at an extent the labels do not have
+    for name in ("seg_probs", "ch_probs"):
+        write_raster(tmp / f"{name}.rts", read_raster(os.path.join(scene, f"{name}.rts"))[:, :, :8])
+    return ["--seg-probs", tmp / "seg_probs.rts", "--ch-probs", tmp / "ch_probs.rts",
+            "--edges", os.path.join(scene, "manifest.json")], "seg_probs.rts"
+
+
+## name -> writer of prediction flags that do not fit the T=3 16x16 labels;
+##         it returns them and the input the error must name
+UNFIT_PREDICTIONS = {
+    "one_timestamp": _one_timestamp,
+    "states_of_another_length": _states_of_another_length,
+    "states_of_another_extent": _states_of_another_extent,
+    "probs_of_another_extent": _probs_of_another_extent,
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIT_PREDICTIONS))
+def test_eval_names_the_prediction_that_does_not_fit_the_labels(tmp_path, clean_scene_dir,
+                                                                 capsys, case):
+    ## these used to end in an unnamed "shape mismatch" or edge-set error
+    flags, named = UNFIT_PREDICTIONS[case](tmp_path, clean_scene_dir)
+    out = tmp_path / "rep"
+    assert run_cli(["eval", *flags, "--labels", clean_scene_dir, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert named in err
+    assert not out.exists()
+
+
 def test_scene_dir_ignores_stored_change_labels(tmp_path, clean_scene_dir):
     scene = tmp_path / "scene"
     shutil.copytree(clean_scene_dir, scene)

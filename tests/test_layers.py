@@ -243,27 +243,33 @@ def test_sigmoid_gradients():
     check_layer(Sigmoid(), centered(rng, (3, 5)) * 3.0, rng)
 
 
+def channel_axis(rows):
+    """(B, D, P) view of (B, P, D) token rows: features move to axis 1."""
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
 def test_linear_forward_and_gradients():
     rng = SeededRng(70)
     lin = Linear(4, 3, rng)
-    x = centered(rng, (5, 4))
+    rows = centered(rng, (1, 5, 4))
+    x = channel_axis(rows)
     y = lin.forward(x)
-    assert np.allclose(y, x @ lin.weight.value + lin.bias.value, atol=1e-12)
+    assert np.allclose(y, channel_axis(rows @ lin.weight.value + lin.bias.value), atol=1e-12)
     check_layer(lin, x, rng)
 
 
-def test_layernorm_standardizes_last_axis():
+def test_layernorm_standardizes_channel_axis():
     rng = SeededRng(80)
     ln = LayerNorm(6)
-    x = centered(rng, (4, 6)) * 5.0 + 1.0
+    x = channel_axis(centered(rng, (1, 4, 6)) * 5.0 + 1.0)
     y = ln.forward(x)
-    assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-10)
-    assert np.allclose(y.std(axis=-1), 1.0, atol=1e-3)
+    assert np.allclose(y.mean(axis=1), 0.0, atol=1e-10)
+    assert np.allclose(y.std(axis=1), 1.0, atol=1e-3)
 
 
 def test_layernorm_gradients():
     rng = SeededRng(81)
-    check_layer(LayerNorm(5), centered(rng, (2, 3, 5)) * 2.0, rng)
+    check_layer(LayerNorm(5), channel_axis(centered(rng, (2, 3, 5)) * 2.0), rng)
 
 
 @pytest.mark.parametrize("use_norm", [True, False])

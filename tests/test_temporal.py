@@ -1,6 +1,7 @@
 """Temporal position codes, attention, and per-scale refinement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,22 @@ from changeseries.temporal import (
     TemporalConfig,
     TemporalRefiner,
     TransformerEncoderLayer,
-    softmax_last,
     temporal_encoding,
 )
 
 
 def centered(rng, shape):
     return rng.uniform(shape) * 2.0 - 1.0
+
+
+def tokens(rng, p, t, d):
+    """(T, D, P) tokens drawn as P sequences of T rows of D features."""
+    return np.ascontiguousarray(centered(rng, (p, t, d)).transpose(1, 2, 0))
+
+
+def softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def test_encoding_matches_formula():
@@ -45,48 +55,68 @@ def test_encoding_rejects_odd_width():
         temporal_encoding(4, 5)
 
 
-def test_softmax_rows_sum_to_one_and_match_oracle():
-    x = centered(SeededRng(1), (3, 4, 5)) * 10.0
-    s = softmax_last(x)
-    assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    assert np.allclose(s, e / e.sum(axis=-1, keepdims=True), atol=1e-15)
+def test_attention_weights_are_key_softmax():
+    ## every query's weights sum to one over the key timestamps and equal
+    ## the softmax of its scaled scores
+    rng = SeededRng(1)
+    attn = MultiHeadSelfAttention(6, 2, rng)
+    x = tokens(rng, 5, 4, 6) * 10.0
+    attn.forward(x)
+    weights = attn._cache[2]  # the cached softmax: (T queries, T keys, heads, P)
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+    for pi in range(5):
+        q = x[:, :, pi] @ attn.wq.value
+        k = x[:, :, pi] @ attn.wk.value
+        for h in range(2):
+            sl = slice(h * 3, (h + 1) * 3)
+            want = softmax_rows(q[:, sl] @ k[:, sl].T / math.sqrt(3))
+            assert np.allclose(weights[:, :, h, pi], want, atol=1e-15)
 
 
 def attention_oracle(x, attn):
-    """Explicit per-pixel, per-head attention loop."""
-    p, t, d = x.shape
+    """Explicit per-pixel, per-head attention loop over (T, D, P) tokens."""
+    t, d, p = x.shape
     heads, dh = attn.heads, attn.d_head
     out = np.zeros_like(x)
     for pi in range(p):
-        q = x[pi] @ attn.wq.value
-        k = x[pi] @ attn.wk.value
-        v = x[pi] @ attn.wv.value
+        seq = x[:, :, pi]  # (T, D): one row per timestamp
+        q = seq @ attn.wq.value
+        k = seq @ attn.wk.value
+        v = seq @ attn.wv.value
         ctx = np.zeros((t, d))
         for h in range(heads):
             sl = slice(h * dh, (h + 1) * dh)
             scores = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
-            weights = softmax_last(scores)
+            weights = softmax_rows(scores)
             ctx[:, sl] = weights @ v[:, sl]
-        out[pi] = ctx @ attn.wo.value
+        out[:, :, pi] = ctx @ attn.wo.value
     return out
 
 
 def test_attention_matches_loop_oracle():
     rng = SeededRng(7)
     attn = MultiHeadSelfAttention(6, 2, rng)
-    x = centered(rng, (3, 4, 6))
+    x = tokens(rng, 3, 4, 6)
+    assert np.allclose(attn.forward(x), attention_oracle(x, attn), atol=1e-10)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("t_len", [1, 2, 4, 7])
+def test_attention_matches_loop_oracle_over_lengths(t_len, heads):
+    rng = SeededRng(17 + 10 * t_len + heads)
+    attn = MultiHeadSelfAttention(4, heads, rng)
+    x = tokens(rng, 5, t_len, 4) * 3.0
     assert np.allclose(attn.forward(x), attention_oracle(x, attn), atol=1e-10)
 
 
 def test_attention_single_timestamp_reduces_to_value_path():
     ## with one timestamp each softmax row is the single weight 1, so the
-    ## output is x @ Wv @ Wo regardless of the query and key projections
+    ## output is Wo^T Wv^T x regardless of the query and key projections
     rng = SeededRng(8)
     attn = MultiHeadSelfAttention(4, 2, rng)
-    x = centered(rng, (5, 1, 4))
-    want = (x @ attn.wv.value) @ attn.wo.value
-    assert np.allclose(attn.forward(x), want, atol=1e-12)
+    x = tokens(rng, 5, 1, 4)
+    want = attn.wo.value.T @ (attn.wv.value.T @ x[0])
+    assert np.allclose(attn.forward(x), want[None], atol=1e-12)
 
 
 def test_attention_rejects_indivisible_width():
@@ -97,13 +127,13 @@ def test_attention_rejects_indivisible_width():
 def test_attention_gradients():
     rng = SeededRng(9)
     attn = MultiHeadSelfAttention(4, 2, rng)
-    check_layer(attn, centered(rng, (2, 3, 4)), rng)
+    check_layer(attn, tokens(rng, 2, 3, 4), rng)
 
 
 def test_encoder_layer_gradients():
     rng = SeededRng(10)
     layer = TransformerEncoderLayer(4, 2, 2, rng)
-    check_layer(layer, centered(rng, (2, 3, 4)), rng)
+    check_layer(layer, tokens(rng, 2, 3, 4), rng)
 
 
 def test_encoder_layer_zero_weights_is_identity():
@@ -113,7 +143,7 @@ def test_encoder_layer_zero_weights_is_identity():
         if p.value.ndim >= 2:  # projection matrices only, keep norms intact
             p.value = np.zeros_like(p.value)
     ## zeroing Wo and ff2 kills both residual branches exactly
-    x = centered(rng, (3, 5, 4))
+    x = tokens(rng, 3, 5, 4)
     assert np.array_equal(layer.forward(x), x)
 
 
@@ -173,6 +203,25 @@ def test_refiner_gradients():
     rng = SeededRng(16)
     refiner = TemporalRefiner(4, TemporalConfig(layers=1), SeededRng(7))
     check_layer(refiner, centered(rng, (2, 4, 2, 2)), rng)
+
+
+@pytest.mark.parametrize("keep, bound", [(False, 12.0), (True, 29.504)])
+def test_refiner_forward_memory(keep, bound):
+    ## in units of the input's bytes, at the default widths (T=6, 64x64,
+    ## width 8): a forward without caches may peak at 12x, and a training
+    ## forward may hold, once it returns, no more than the 29.503x (cached
+    ## arrays 28.5x, output 1x) measured with (P, T, D) tokens
+    refiner = TemporalRefiner(8, TemporalConfig(), SeededRng(18))
+    x = centered(SeededRng(19), (6, 8, 64, 64))
+    tracemalloc.start()
+    try:
+        y = refiner.forward(x, keep=keep)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (held if keep else peak) / x.nbytes
+    assert ratio <= bound, f"{ratio:.2f}x the input"
+    assert y.shape == x.shape
 
 
 def test_config_validation():

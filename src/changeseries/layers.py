@@ -14,14 +14,18 @@ of the cache, so a forward that no backward follows (inference,
 validation) frees each intermediate as soon as the next layer has read
 it.  Composites pass keep down to every layer they own.  backward after
 such a forward is an error; ChangeModel checks it once for the network.
-The refiner's layers (Linear, LayerNorm, MultiHeadSelfAttention) drop
-their cache once backward has read it, so a training step frees each
-cache as the backward pass reaches it.
+The refiner's layers (Linear, LayerNorm, ReLU, MultiHeadSelfAttention)
+drop their cache once backward has read it, so a training step frees
+each cache as the backward pass reaches it.
 
 Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
 packs the columns of one image at a time, and backward re-packs the whole
 batch from the cached input for the weight gradient.  A conv built with
 input_grad=False (the network's first) skips dx, which no one reads.
+Conv2d returns its output and dx C-contiguous, and BatchNormReLU keeps
+that layout, so every activation of a ConvBlock, forward and backward,
+is contiguous NCHW and each per-channel reduction and column pack reads
+memory in order.
 
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
@@ -92,27 +96,29 @@ def _pack_columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Stride-1, same-size cross-correlation of x (B, C, H, W), without bias.
 
-    A 1x1 kernel needs no packing and is one GEMM over the whole batch.  A
-    3x3 kernel packs one image's columns at a time into a reused buffer, so
-    at most one image's 9x copy exists, and multiplies them into that
-    image's rows of a channels-last output.
+    Returns a C-contiguous (B, Cout, H, W) array.  A 1x1 kernel needs no
+    packing: one channels-last GEMM over the whole batch, copied into NCHW
+    once.  A 3x3 kernel packs one image's columns at a time into a reused
+    buffer, so at most one image's 9x copy exists, and W @ cols writes that
+    image's NCHW rows in place.
     """
     cout, cin, k, _ = weight.shape
     b, _, h, w = x.shape
-    wmat = weight.reshape(cout, cin * k * k).T
     if k == 1:
-        out = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin) @ wmat
-    else:
-        out = np.empty((b, h * w, cout))
-        cols = np.zeros((cin, 3, 3, 1, h, w))
-        for n in range(b):
-            np.matmul(_pack_columns(x[n : n + 1], cols).T, wmat, out=out[n])
-    return out.reshape(b, h, w, cout).transpose(0, 3, 1, 2)
+        out = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin) @ weight.reshape(cout, cin).T
+        return np.ascontiguousarray(out.reshape(b, h, w, cout).transpose(0, 3, 1, 2))
+    wmat = weight.reshape(cout, cin * 9)
+    out = np.empty((b, cout, h, w))
+    cols = np.zeros((cin, 3, 3, 1, h, w))
+    for n in range(b):
+        np.matmul(wmat, _pack_columns(x[n : n + 1], cols), out=out[n].reshape(cout, h * w))
+    return out
 
 
 class Conv2d(Layer):
     """Same-size convolution, kernel 1 or 3, stride 1, pad kernel//2.
 
+    Output and dx are C-contiguous NCHW whatever the layout of x and dy.
     Forward caches its input, so callers must not write to it before
     backward.  Backward re-packs the whole batch from it, so the weight
     gradient's sum over B*H*W stays one GEMM.  With input_grad=False,
@@ -194,12 +200,20 @@ class BatchNorm2d(Layer):
         self._xhat = None
         self._invstd = None
 
-    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        invstd = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * invstd
+    def _standardize(self, x: np.ndarray, keep: bool) -> np.ndarray:
+        """x-hat as a new array, cached with invstd when keep is set.
+
+        x - mean is computed once and serves the variance too, the same
+        operations np.var runs on its own copy.
+        """
+        xhat = x - x.mean(axis=(0, 2, 3), keepdims=True)
+        invstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=(0, 2, 3), keepdims=True) + self.eps)
+        xhat *= invstd
         self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
+        return xhat
+
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        xhat = self._standardize(x, keep)
         return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -212,11 +226,33 @@ class BatchNorm2d(Layer):
         return g * (dy - dbeta[None, :, None, None] / n - self._xhat * dgamma[None, :, None, None] / n)
 
 
+class BatchNormReLU(BatchNorm2d):
+    """BatchNorm2d followed by ReLU in one pass over the activation.
+
+    gamma, beta and the ReLU are applied in place on the output, and the
+    cache is BatchNorm2d's alone (x-hat and invstd): backward recomputes
+    the mask as gamma * x-hat + beta > 0 with the forward's operations.
+    Output and gradients equal BatchNorm2d then ReLU bit for bit, except
+    that a NaN stays NaN where ReLU writes 0.
+    """
+
+    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
+        xhat = self._standardize(x, keep)
+        ## x-hat is no cache without keep, so the output takes its buffer
+        y = np.multiply(xhat, self.gamma.value[:, None, None], out=None if keep else xhat)
+        y += self.beta.value[:, None, None]
+        return np.maximum(y, 0.0, out=y)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        y = self._xhat * self.gamma.value[:, None, None]
+        y += self.beta.value[:, None, None]
+        return super().backward(np.where(y > 0, dy, 0.0))
+
+
 class Identity(Layer):
     """Passes its input through unchanged.
 
-    Stands in for BatchNorm2d when normalization is switched off, and for
-    each scale's TemporalRefiner when the model has none.
+    Stands in for each scale's TemporalRefiner when the model has none.
     """
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
@@ -227,16 +263,23 @@ class Identity(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0); backward reads the output, held by reference until then.
+
+    The layer that follows a ReLU caches the same array as its input, so
+    holding it costs nothing.
+    """
+
     def __init__(self):
-        self._mask = None
+        self._y = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        mask = x > 0
-        self._mask = mask if keep else None
-        return np.where(mask, x, 0.0)
+        y = np.where(x > 0, x, 0.0)
+        self._y = y if keep else None
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dy, 0.0)
+        y, self._y = self._y, None
+        return np.where(y > 0, dy, 0.0)
 
 
 class Sigmoid(Layer):
@@ -353,22 +396,22 @@ class LayerNorm(Layer):
 
 
 class ConvBlock(Layer):
-    """[conv3x3 -> norm -> ReLU] x 2, the workhorse of encoder and decoders.
+    """[conv3x3 -> BatchNorm -> ReLU] x 2, the workhorse of encoder and decoders.
 
-    input_grad=False builds the first conv without dx: backward then
-    returns None.
+    norm1 and norm2 are each a BatchNormReLU, or a plain ReLU when
+    normalization is off; either way every activation is C-contiguous
+    NCHW.  input_grad=False builds the first conv without dx: backward
+    then returns None.
     """
 
     def __init__(
         self, cin: int, cout: int, use_norm: bool, rng: SeededRng, input_grad: bool = True
     ):
         self.conv1 = Conv2d(cin, cout, 3, rng, input_grad)
-        self.norm1 = BatchNorm2d(cout) if use_norm else Identity()
-        self.act1 = ReLU()
+        self.norm1 = BatchNormReLU(cout) if use_norm else ReLU()
         self.conv2 = Conv2d(cout, cout, 3, rng)
-        self.norm2 = BatchNorm2d(cout) if use_norm else Identity()
-        self.act2 = ReLU()
-        self._chain = [self.conv1, self.norm1, self.act1, self.conv2, self.norm2, self.act2]
+        self.norm2 = BatchNormReLU(cout) if use_norm else ReLU()
+        self._chain = [self.conv1, self.norm1, self.conv2, self.norm2]
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         for layer in self._chain:

@@ -329,15 +329,13 @@ def test_backward_after_forward_without_keep_raises():
 
 
 def test_backward_consumes_the_refiner_caches():
-    ## a training step frees each refiner cache as backward reads it; only
-    ## the ReLU masks, a layer the convolution path shares, stay
+    ## a training step frees each refiner cache as backward reads it
     model = ChangeModel(tiny_model_config())
     edges = build_edge_set("dense", 3)
     x = SeededRng(27).uniform((3, 3, 8, 8))
     seg, ch = model.forward(x, edges)
     model.backward(np.ones_like(seg), np.ones_like(ch))
-    left = stray_arrays(model.temporal)
-    assert left and all(path.endswith(".act._mask") for path in left), left
+    assert stray_arrays(model.temporal) == []
     with pytest.raises(RuntimeError, match="keep=True"):
         model.backward(np.ones_like(seg), np.ones_like(ch))
 

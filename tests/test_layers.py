@@ -1,5 +1,7 @@
 """Layer forward oracles and finite-difference gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -7,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from gradcheck import check_layer, fd_grad, max_rel_err
 from changeseries.layers import (
     BatchNorm2d,
+    BatchNormReLU,
     Conv2d,
     ConvBlock,
     Identity,
@@ -122,6 +125,8 @@ def test_conv_bitwise_equals_im2col_gemm(shape, batch):
     assert np.array_equal(conv.weight.grad, want_dw)
     assert np.array_equal(conv.bias.grad, want_db)
     assert np.array_equal(dx, want_dx)
+    assert y.flags.c_contiguous
+    assert dx.flags.c_contiguous
 
 
 def test_conv_rejects_unsupported_kernel():
@@ -175,6 +180,46 @@ def test_batchnorm_gradients():
     rng = SeededRng(41)
     bn = BatchNorm2d(2)
     check_layer(bn, centered(rng, (3, 2, 4, 4)) * 2.0, rng)
+
+
+def affine_draws(norm, rng):
+    """Gain and shift of both signs, so the ReLU cuts every channel somewhere."""
+    c = norm.gamma.value.size
+    norm.gamma.value = centered(rng, (c,)) * 2.0
+    norm.beta.value = centered(rng, (c,))
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_batchnorm_relu_bitwise_equals_batchnorm_then_relu(keep):
+    rng = SeededRng(42)
+    x = centered(rng, (6, 8, 32, 32)) * 3.0 + 1.0
+    dy = centered(rng, x.shape)
+    fused, bn, relu = BatchNormReLU(8), BatchNorm2d(8), ReLU()
+    affine_draws(fused, rng)
+    bn.gamma.value, bn.beta.value = fused.gamma.value.copy(), fused.beta.value.copy()
+    y = fused.forward(x, keep=keep)
+    want = relu.forward(bn.forward(x, keep=keep), keep=keep)
+    assert np.array_equal(y, want)
+    assert 0 < (y > 0).mean() < 1
+    if keep:
+        dx = fused.backward(dy)
+        assert np.array_equal(dx, bn.backward(relu.backward(dy)))
+        assert np.array_equal(fused.gamma.grad, bn.gamma.grad)
+        assert np.array_equal(fused.beta.grad, bn.beta.grad)
+
+
+def test_batchnorm_relu_gradients_away_from_kink():
+    rng = SeededRng(43)
+    fused = BatchNormReLU(2)
+    affine_draws(fused, rng)
+    x = centered(rng, (3, 2, 4, 4)) * 2.0
+    ## no pre-activation within 1e-3 of the kink: the 1e-5 steps of the
+    ## finite differences move none of them across it
+    xhat = BatchNorm2d(2).forward(x)
+    pre = fused.gamma.value[:, None, None] * xhat + fused.beta.value[:, None, None]
+    assert np.abs(pre).min() > 1e-3
+    assert 0 < (pre > 0).mean() < 1
+    check_layer(fused, x, rng)
 
 
 def test_maxpool_matches_block_oracle():
@@ -277,6 +322,51 @@ def test_convblock_gradients(use_norm):
     rng = SeededRng(90)
     block = ConvBlock(2, 3, use_norm, rng)
     check_layer(block, centered(rng, (2, 2, 4, 4)), rng)
+
+
+@pytest.mark.parametrize("use_norm", [True, False])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_convblock_activations_are_c_contiguous(use_norm, input_grad):
+    ## a channels-last input, the layout no block emits, comes back NCHW
+    rng = SeededRng(91)
+    block = ConvBlock(3, 4, use_norm, rng, input_grad)
+    x = centered(rng, (2, 5, 6, 3)).transpose(0, 3, 1, 2)
+    y = block.forward(x)
+    assert y.flags.c_contiguous
+    for layer in block._chain:
+        x = layer.forward(x)
+        assert x.flags.c_contiguous, type(layer).__name__
+    dx = block.backward(centered(rng, y.shape))
+    assert dx is None if not input_grad else dx.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kernel", [1, 3])
+def test_conv_output_and_input_grad_are_c_contiguous(kernel):
+    rng = SeededRng(92 + kernel)
+    conv = Conv2d(3, 4, kernel, rng)
+    x = centered(rng, (2, 5, 6, 3)).transpose(0, 3, 1, 2)
+    y = conv.forward(x)
+    dx = conv.backward(centered(rng, (2, 5, 6, 4)).transpose(0, 3, 1, 2))
+    assert y.flags.c_contiguous and dx.flags.c_contiguous
+
+
+@pytest.mark.parametrize("use_norm, bound", [(True, 4.003), (False, 2.001)])
+def test_convblock_forward_memory(use_norm, bound):
+    ## in units of the input's bytes (width 8 -> 8, T=6, 64x64): a training
+    ## forward holds, once it returns, each norm's x-hat, the activation
+    ## that conv2 caches and the block's output, 4.001x (2.000x without
+    ## norm).  ReLU layers that kept a boolean mask held 4.252x (2.250x)
+    block = ConvBlock(8, 8, use_norm, SeededRng(96))
+    x = centered(SeededRng(97), (6, 8, 64, 64))
+    tracemalloc.start()
+    try:
+        y = block.forward(x, keep=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    ratio = held / x.nbytes
+    assert ratio <= bound, f"{ratio:.4f}x the input"
+    assert y.shape == x.shape
 
 
 def test_gradients_accumulate_across_backward_calls():

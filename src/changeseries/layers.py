@@ -14,13 +14,24 @@ of the cache, so a forward that no backward follows (inference,
 validation) frees each intermediate as soon as the next layer has read
 it.  Composites pass keep down to every layer they own.  backward after
 such a forward is an error; ChangeModel checks it once for the network.
-The refiner's layers (Linear, LayerNorm, ReLU, MultiHeadSelfAttention)
-drop their cache once backward has read it, so a training step frees
-each cache as the backward pass reaches it.
+Every layer takes its cache in backward and leaves None behind, so a
+training step frees each cache as the backward pass reaches it, and a
+later validation forward finds nothing left over.
+
+A training forward caches only what cannot be rebuilt cheaply.  Conv2d
+and Linear cache only their input, and ReLU only its output; each takes
+that array as backward's second argument instead, so a composite that
+can rebuild it runs them with keep=False.  BatchNormReLU's backward
+takes its output there too, and reads the ReLU mask from it.  ConvBlock
+rebuilds conv2's input from norm1's x-hat (output() of a BatchNormReLU;
+a plain ReLU holds its output), and the refiner's encoder layer rebuilds
+its norm outputs and its FFN hidden layer (temporal.py).  Each rebuild
+calls the helper the forward itself used, so it is bitwise equal to the
+array it replaces.
 
 Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
 packs the columns of one image at a time, and backward re-packs the whole
-batch from the cached input for the weight gradient.  A conv built with
+batch from the input for the weight gradient.  A conv built with
 input_grad=False (the network's first) skips dx, which no one reads.
 Conv2d returns its output and dx C-contiguous, and BatchNormReLU keeps
 that layout, so every activation of a ConvBlock, forward and backward,
@@ -80,8 +91,8 @@ def _pack_columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
     Returns the (C*9, B*H*W) view: row c*9 + 3i + j holds channel c shifted
     by (i-1, j-1), column (b*H + y)*W + x one output pixel.  Cells that fall
-    in the zero padding are never written, so cols must start zeroed, and a
-    zeroed buffer stays valid across calls of one shape.
+    in the zero padding are never written, so cols must come from
+    _column_buffer; such a buffer stays valid across calls of one shape.
     """
     _, _, h, w = x.shape
     xc = x.transpose(1, 0, 2, 3)
@@ -91,6 +102,21 @@ def _pack_columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
             dst_x, src_x = _window(j - 1, w)
             cols[:, i, j, :, dst_y, dst_x] = xc[:, :, src_y, src_x]
     return cols.reshape(cols.shape[0] * 9, -1)
+
+
+def _column_buffer(cin: int, b: int, h: int, w: int) -> np.ndarray:
+    """An empty (C, 3, 3, B, H, W) column buffer with its padding cells zeroed.
+
+    Those are the cells _pack_columns never writes: row 0 of the taps that
+    look one row up, row H-1 of those that look one row down, and likewise
+    column 0 and column W-1.
+    """
+    cols = np.empty((cin, 3, 3, b, h, w))
+    cols[:, 0, :, :, 0, :] = 0.0
+    cols[:, 2, :, :, -1, :] = 0.0
+    cols[:, :, 0, :, :, 0] = 0.0
+    cols[:, :, 2, :, :, -1] = 0.0
+    return cols
 
 
 def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -109,7 +135,7 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(out.reshape(b, h, w, cout).transpose(0, 3, 1, 2))
     wmat = weight.reshape(cout, cin * 9)
     out = np.empty((b, cout, h, w))
-    cols = np.zeros((cin, 3, 3, 1, h, w))
+    cols = _column_buffer(cin, 1, h, w)
     for n in range(b):
         np.matmul(wmat, _pack_columns(x[n : n + 1], cols), out=out[n].reshape(cout, h * w))
     return out
@@ -120,9 +146,11 @@ class Conv2d(Layer):
 
     Output and dx are C-contiguous NCHW whatever the layout of x and dy.
     Forward caches its input, so callers must not write to it before
-    backward.  Backward re-packs the whole batch from it, so the weight
-    gradient's sum over B*H*W stays one GEMM.  With input_grad=False,
-    backward accumulates the parameter gradients and returns None.
+    backward; a caller that rebuilds the input instead runs forward with
+    keep=False and passes it to backward.  Backward re-packs the whole
+    batch from it, so the weight gradient's sum over B*H*W stays one GEMM.
+    With input_grad=False, backward accumulates the parameter gradients and
+    returns None.
     """
 
     def __init__(
@@ -143,17 +171,20 @@ class Conv2d(Layer):
         y += self.bias.value[:, None, None]
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        x = self._x
+    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray | None:
+        x = self._x if x is None else x
+        self._x = None
         b, cin, h, w = x.shape
         cout = self.weight.value.shape[0]
         dyf = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
         if self.kernel == 1:
             cols_t = x.transpose(0, 2, 3, 1).reshape(-1, cin)
         else:
-            cols_t = _pack_columns(x, np.zeros((cin, 3, 3, b, h, w))).T
+            cols_t = _pack_columns(x, _column_buffer(cin, b, h, w)).T
         self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
         self.bias.grad += dyf.sum(axis=0)
+        ## the whole-batch columns go before dx packs its own
+        del cols_t, dyf
         if not self.input_grad:
             return None
         ## dx is itself a stride-1 convolution with spatially flipped,
@@ -181,7 +212,8 @@ class TransposeConv2x2(Layer):
         b, cout, h2, w2 = dy.shape
         dyr = dy.reshape(b, cout, h2 // 2, 2, w2 // 2, 2).transpose(0, 1, 2, 4, 3, 5)
         ## dyr: (b, d, h, w, i, j)
-        self.weight.grad += np.einsum("bchw,bdhwij->cdij", self._x, dyr, optimize=True)
+        x, self._x = self._x, None
+        self.weight.grad += np.einsum("bchw,bdhwij->cdij", x, dyr, optimize=True)
         self.bias.grad += dy.sum(axis=(0, 2, 3))
         return np.einsum("bdhwij,cdij->bchw", dyr, self.weight.value, optimize=True)
 
@@ -217,35 +249,44 @@ class BatchNorm2d(Layer):
         return self.gamma.value[None, :, None, None] * xhat + self.beta.value[None, :, None, None]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        xhat, invstd = self._xhat, self._invstd
+        self._xhat = self._invstd = None
         n = dy.shape[0] * dy.shape[2] * dy.shape[3]
         dbeta = dy.sum(axis=(0, 2, 3))
-        dgamma = (dy * self._xhat).sum(axis=(0, 2, 3))
+        dgamma = (dy * xhat).sum(axis=(0, 2, 3))
         self.beta.grad += dbeta
         self.gamma.grad += dgamma
-        g = self.gamma.value[None, :, None, None] * self._invstd
-        return g * (dy - dbeta[None, :, None, None] / n - self._xhat * dgamma[None, :, None, None] / n)
+        g = self.gamma.value[None, :, None, None] * invstd
+        return g * (dy - dbeta[None, :, None, None] / n - xhat * dgamma[None, :, None, None] / n)
 
 
 class BatchNormReLU(BatchNorm2d):
     """BatchNorm2d followed by ReLU in one pass over the activation.
 
     gamma, beta and the ReLU are applied in place on the output, and the
-    cache is BatchNorm2d's alone (x-hat and invstd): backward recomputes
-    the mask as gamma * x-hat + beta > 0 with the forward's operations.
-    Output and gradients equal BatchNorm2d then ReLU bit for bit, except
-    that a NaN stays NaN where ReLU writes 0.
+    cache is BatchNorm2d's alone (x-hat and invstd): output() rebuilds the
+    output from it with the forward's own operations, and backward takes
+    the ReLU's mask from that output, or from the caller's copy of it.
+    Output and gradients equal BatchNorm2d then ReLU bit for bit.
     """
+
+    def _activate(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        y = np.multiply(xhat, self.gamma.value[:, None, None], out=out)
+        y += self.beta.value[:, None, None]
+        return np.maximum(y, 0.0, out=y)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         xhat = self._standardize(x, keep)
         ## x-hat is no cache without keep, so the output takes its buffer
-        y = np.multiply(xhat, self.gamma.value[:, None, None], out=None if keep else xhat)
-        y += self.beta.value[:, None, None]
-        return np.maximum(y, 0.0, out=y)
+        return self._activate(xhat, None if keep else xhat)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        y = self._xhat * self.gamma.value[:, None, None]
-        y += self.beta.value[:, None, None]
+    def output(self) -> np.ndarray:
+        """The last keep=True forward's output, bitwise, as a new array."""
+        return self._activate(self._xhat, None)
+
+    def backward(self, dy: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        if y is None:
+            y = self.output()
         return super().backward(np.where(y > 0, dy, 0.0))
 
 
@@ -265,20 +306,28 @@ class Identity(Layer):
 class ReLU(Layer):
     """max(x, 0); backward reads the output, held by reference until then.
 
-    The layer that follows a ReLU caches the same array as its input, so
-    holding it costs nothing.
+    The output is a new array: forward never writes to its input.  It
+    equals np.where(x > 0, x, 0) bit for bit (-0.0 gives +0.0), except
+    that a NaN stays NaN where np.where writes 0, as in BatchNormReLU.  A
+    caller that rebuilds the output runs forward with keep=False and
+    passes it to backward.
     """
 
     def __init__(self):
         self._y = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        y = np.where(x > 0, x, 0.0)
+        y = np.maximum(x, 0.0)
         self._y = y if keep else None
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        y, self._y = self._y, None
+    def output(self) -> np.ndarray:
+        """The last keep=True forward's output, held since then."""
+        return self._y
+
+    def backward(self, dy: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        y = self._y if y is None else y
+        self._y = None
         return np.where(y > 0, dy, 0.0)
 
 
@@ -301,7 +350,8 @@ class Sigmoid(Layer):
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy * self._y * (1.0 - self._y)
+        y, self._y = self._y, None
+        return dy * y * (1.0 - y)
 
 
 class MaxPool2x2(Layer):
@@ -322,8 +372,9 @@ class MaxPool2x2(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         b, c, h, w = self._shape
+        idx, self._idx = self._idx, None
         flat = np.zeros((b, c, h // 2, w // 2, 4))
-        np.put_along_axis(flat, self._idx[..., None], dy[..., None], axis=-1)
+        np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
         view = flat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         return view.reshape(b, c, h, w)
 
@@ -339,7 +390,11 @@ def channel_outer(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 class Linear(Layer):
-    """y[b] = W.T @ x[b] + bias over the channel axis of (B, D_in, P) input."""
+    """y[b] = W.T @ x[b] + bias over the channel axis of (B, D_in, P) input.
+
+    The cache is the input alone, by reference: a caller that rebuilds the
+    input runs forward with keep=False and passes it to backward.
+    """
 
     def __init__(self, d_in: int, d_out: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (d_in, d_out), d_in))
@@ -352,8 +407,9 @@ class Linear(Layer):
         y += self.bias.value[:, None]
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, self._x = self._x, None
+    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        x = self._x if x is None else x
+        self._x = None
         self.weight.grad += channel_outer(x, dy)
         self.bias.grad += dy.sum(axis=(0, 2))
         return np.matmul(self.weight.value, dy)
@@ -374,9 +430,16 @@ class LayerNorm(Layer):
         invstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=1, keepdims=True) + self.eps)
         xhat *= invstd
         self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
+        return self._affine(xhat)
+
+    def _affine(self, xhat: np.ndarray) -> np.ndarray:
         y = xhat * self.gamma.value[:, None]
         y += self.beta.value[:, None]
         return y
+
+    def output(self) -> np.ndarray:
+        """The last keep=True forward's output, bitwise, rebuilt from x-hat."""
+        return self._affine(self._xhat)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         ## with dxhat = dy * gamma:
@@ -400,8 +463,9 @@ class ConvBlock(Layer):
 
     norm1 and norm2 are each a BatchNormReLU, or a plain ReLU when
     normalization is off; either way every activation is C-contiguous
-    NCHW.  input_grad=False builds the first conv without dx: backward
-    then returns None.
+    NCHW.  conv2 keeps no input: backward rebuilds it as norm1.output(),
+    which also gives norm1 its mask.  input_grad=False builds the first
+    conv without dx: backward then returns None.
     """
 
     def __init__(
@@ -411,14 +475,18 @@ class ConvBlock(Layer):
         self.norm1 = BatchNormReLU(cout) if use_norm else ReLU()
         self.conv2 = Conv2d(cout, cout, 3, rng)
         self.norm2 = BatchNormReLU(cout) if use_norm else ReLU()
-        self._chain = [self.conv1, self.norm1, self.conv2, self.norm2]
 
+    ## each step rebinds x or dy, so no activation outlives the layer that reads it
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        for layer in self._chain:
-            x = layer.forward(x, keep=keep)
-        return x
+        x = self.conv1.forward(x, keep=keep)
+        x = self.norm1.forward(x, keep=keep)
+        x = self.conv2.forward(x, keep=False)
+        return self.norm2.forward(x, keep=keep)
 
     def backward(self, dy: np.ndarray) -> np.ndarray | None:
-        for layer in reversed(self._chain):
-            dy = layer.backward(dy)
-        return dy
+        dy = self.norm2.backward(dy)
+        a = self.norm1.output()
+        dy = self.conv2.backward(dy, a)
+        dy = self.norm1.backward(dy, a)
+        del a
+        return self.conv1.backward(dy)

@@ -107,7 +107,7 @@ class ChangeModel(Layer):
         return seg, ch
 
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:
-        ## taken, since the refiner's layers drop their caches during backward
+        ## taken, since every layer drops its cache during backward
         edges, self._edges = self._edges, None
         if edges is None:
             raise RuntimeError("backward needs a preceding forward with keep=True")

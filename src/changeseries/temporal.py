@@ -13,6 +13,14 @@ code[:, :, None], LayerNorm reduces over axis 1, every projection is one
 GEMM per timestamp, and attention's T x T scores and context are
 multiply-adds vectorized over P.  Weight gradients are sums over
 timestamps of (D_in, P) x (P, D_out) GEMMs (layers.channel_outer).
+
+A training forward of an encoder layer keeps each LayerNorm's x-hat and
+invstd and attention's Q/K/V and softmax weights, nothing else.  Backward
+rebuilds the rest with the forward's own helpers, bitwise: each norm's
+output from its x-hat (LayerNorm.output), the 4D-wide FFN hidden layer
+from one ff1 GEMM and ReLU (TransformerEncoderLayer._hidden), and
+attention's context from its weights and V (MultiHeadSelfAttention.
+_context).  Every layer drops its cache once backward has read it.
 """
 
 from __future__ import annotations
@@ -65,9 +73,13 @@ class MultiHeadSelfAttention(Layer):
     and context are multiply-adds vectorized over the pixel axis.
     Projections carry no biases; head outputs are concatenated along D and
     passed through the output projection.
+
+    A training forward caches Q/K/V and the weights, and the input by
+    reference unless built with cache_input=False: then the caller, which
+    can rebuild the input, passes it to backward.
     """
 
-    def __init__(self, dim: int, heads: int, rng: SeededRng):
+    def __init__(self, dim: int, heads: int, rng: SeededRng, cache_input: bool = True):
         if dim % heads:
             raise ValueError(f"width {dim} not divisible by {heads} heads")
         self.dim = dim
@@ -77,10 +89,16 @@ class MultiHeadSelfAttention(Layer):
         self.wk = Param(kaiming_uniform(rng, (dim, dim), dim))
         self.wv = Param(kaiming_uniform(rng, (dim, dim), dim))
         self.wo = Param(kaiming_uniform(rng, (dim, dim), dim))
+        self.cache_input = cache_input
         self._cache = None
 
     def _wqkv(self) -> np.ndarray:
         return np.concatenate([self.wq.value, self.wk.value, self.wv.value], axis=1)
+
+    @staticmethod
+    def _context(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(T, heads, D_head, P) context: each query's weighted sum of V."""
+        return np.einsum("tkhp,khdp->thdp", attn, v)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         t, d, p = x.shape
@@ -91,16 +109,17 @@ class MultiHeadSelfAttention(Layer):
         attn -= attn.max(axis=1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=1, keepdims=True)
-        ctx = np.einsum("tkhp,khdp->thdp", attn, qkv[:, 2]).reshape(t, d, p)
-        self._cache = (x, qkv, attn, ctx) if keep else None
+        ctx = self._context(attn, qkv[:, 2]).reshape(t, d, p)
+        self._cache = (x if self.cache_input else None, qkv, attn) if keep else None
         return np.matmul(self.wo.value.T, ctx)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x, qkv, attn, ctx), self._cache = self._cache, None
+    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        (cached_x, qkv, attn), self._cache = self._cache, None
+        x = cached_x if x is None else x
         t, d, p = x.shape
         q, k, v = qkv[:, 0], qkv[:, 1], qkv[:, 2]
 
-        self.wo.grad += channel_outer(ctx, dy)
+        self.wo.grad += channel_outer(self._context(attn, v).reshape(t, d, p), dy)
         dctx = np.matmul(self.wo.value, dy).reshape(t, self.heads, self.d_head, p)
 
         dqkv = np.empty_like(qkv)
@@ -127,31 +146,42 @@ class TransformerEncoderLayer(Layer):
 
     The feed-forward half is Linear(D -> ff_mult*D) -> ReLU -> Linear(-> D).
     With all attention and feed-forward weights zero the layer is the
-    identity map.
+    identity map.  Only the norms and attention keep a cache; backward
+    rebuilds the input of attention (ln1's output), of ff1 (ln2's output)
+    and of ff2 (the hidden layer).
     """
 
     def __init__(self, dim: int, heads: int, ff_mult: int, rng: SeededRng):
         self.ln1 = LayerNorm(dim)
-        self.attn = MultiHeadSelfAttention(dim, heads, rng)
+        self.attn = MultiHeadSelfAttention(dim, heads, rng, cache_input=False)
         self.ln2 = LayerNorm(dim)
         self.ff1 = Linear(dim, ff_mult * dim, rng)
         self.act = ReLU()
         self.ff2 = Linear(ff_mult * dim, dim, rng)
 
+    def _hidden(self, n2: np.ndarray) -> np.ndarray:
+        """relu(ff1(n2)), the FFN hidden layer, which no layer keeps."""
+        f = self.ff1.forward(n2, keep=False)
+        ## forward passes ln2's output with no other reference: it goes now
+        del n2
+        return self.act.forward(f, keep=False)
+
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         h = self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)
         h += x
-        f = self.ff1.forward(self.ln2.forward(h, keep=keep), keep=keep)
-        ## rebinding frees ff1's output before ff2 allocates its own
-        f = self.act.forward(f, keep=keep)
-        y = self.ff2.forward(f, keep=keep)
+        y = self.ff2.forward(self._hidden(self.ln2.forward(h, keep=keep)), keep=False)
         y += h
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dn2 = self.ff1.backward(self.act.backward(self.ff2.backward(dy)))
+        n2 = self.ln2.output()
+        f = self._hidden(n2)
+        df = self.act.backward(self.ff2.backward(dy, f), f)
+        del f
+        dn2 = self.ff1.backward(df, n2)
+        del n2, df
         dh = dy + self.ln2.backward(dn2)
-        dn1 = self.attn.backward(dh)
+        dn1 = self.attn.backward(dh, self.ln1.output())
         return dh + self.ln1.backward(dn1)
 
 

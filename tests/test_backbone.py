@@ -305,7 +305,8 @@ def test_forward_without_keep_leaves_no_layer_cache(tfr):
 
 
 def test_forward_without_keep_peak_memory():
-    ## the T=6 128x128 infer shape: with every cache kept it peaks at 617 MB
+    ## the T=6 128x128 infer shape peaks at 133.5 MB when each activation
+    ## goes once the next layer has read it (617 MB with every cache kept)
     model = ChangeModel(ModelConfig())
     x = SeededRng(25).uniform((6, 3, 128, 128))
     edges = build_edge_set("dense", 6)
@@ -315,7 +316,7 @@ def test_forward_without_keep_peak_memory():
         peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak_mb <= 200.0, f"{peak_mb:.1f} MB"
+    assert peak_mb <= 134.0, f"{peak_mb:.1f} MB"
 
 
 def test_backward_after_forward_without_keep_raises():
@@ -329,15 +330,33 @@ def test_backward_after_forward_without_keep_raises():
 
 
 def test_backward_consumes_the_refiner_caches():
-    ## a training step frees each refiner cache as backward reads it
+    ## a training step frees every layer's cache, the refiner's and the
+    ## ConvNets', as backward reads it
     model = ChangeModel(tiny_model_config())
     edges = build_edge_set("dense", 3)
     x = SeededRng(27).uniform((3, 3, 8, 8))
     seg, ch = model.forward(x, edges)
     model.backward(np.ones_like(seg), np.ones_like(ch))
-    assert stray_arrays(model.temporal) == []
+    assert stray_arrays(model) == []
     with pytest.raises(RuntimeError, match="keep=True"):
         model.backward(np.ones_like(seg), np.ones_like(ch))
+
+
+def test_desk_patch_forward_memory():
+    ## the bytes a training forward holds once it returns, at the desk
+    ## patch (T=4, 64x64, dense edges, default model): 44.74 MB, of which
+    ## the outputs are 0.33 MB.  Caching every activation held 74.75 MB
+    model = ChangeModel(ModelConfig())
+    x = SeededRng(28).uniform((4, 3, 64, 64))
+    edges = build_edge_set("dense", 4)
+    tracemalloc.start()
+    try:
+        seg, ch = model.forward(x, edges)
+        held_mb = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert held_mb <= 44.75, f"{held_mb:.2f} MB"
+    assert seg.shape == (4, 64, 64) and ch.shape == (6, 64, 64)
 
 
 @pytest.mark.parametrize("channels", [1, 4])

@@ -38,6 +38,16 @@ that layout, so every activation of a ConvBlock, forward and backward,
 is contiguous NCHW and each per-channel reduction and column pack reads
 memory in order.
 
+Inside cores.threaded() (ChangeModel's inference forward) a large 3x3
+conv splits its output rows into bands and a large BatchNorm its
+channels, one part per worker.  Each part computes its cells with the
+same operations, in the same order, as the whole layer: a band's GEMM
+starts on a tile boundary of OpenBLAS's kernel and stays above its
+small-matrix size (_bands), and every BatchNorm part holds two channels
+or more (_channel_parts).  So the output is bitwise equal at every
+worker count.  Thresholds (CONV_SPLIT_COLUMNS, NORM_SPLIT_CELLS) keep
+small layers, which lose to the hand-off, whole.
+
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
 skipping anything else, lists included.  Attribute names and __init__
@@ -52,7 +62,20 @@ import math
 
 import numpy as np
 
+from . import cores
 from .rng import SeededRng
+
+## inside cores.threaded(), a 3x3 conv whose images have at least this many
+## column cells (C*9*H*W) splits its rows (2 vCPUs: 1.2-1.8x from 2.9e5 up,
+## 0.8-1.0x at 1.5e5)
+CONV_SPLIT_COLUMNS = 1 << 18
+## into bands that start on a multiple of this many output pixels
+BAND_ALIGN = 64
+## and each do at least this many multiply-adds
+BAND_MACS = 1 << 20
+## and a BatchNorm over at least this many cells (B*C*H*W) splits its channels
+## (1.3-1.7x from 2.6e5 up, 0.5-0.9x at 1.3e5 and below)
+NORM_SPLIT_CELLS = 1 << 18
 
 
 class Param:
@@ -86,21 +109,28 @@ def _window(shift: int, n: int) -> tuple[slice, slice]:
     return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n + min(0, shift))
 
 
-def _pack_columns(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Write the 3x3 patches of x (B, C, H, W) into cols (C, 3, 3, B, H, W).
+def _pack_columns(x: np.ndarray, cols: np.ndarray, y0: int = 0) -> np.ndarray:
+    """Write the 3x3 patches of x (B, C, H, W) into cols (C, 3, 3, B, rows, W).
 
-    Returns the (C*9, B*H*W) view: row c*9 + 3i + j holds channel c shifted
-    by (i-1, j-1), column (b*H + y)*W + x one output pixel.  Cells that fall
-    in the zero padding are never written, so cols must come from
-    _column_buffer; such a buffer stays valid across calls of one shape.
+    The patches are those of output rows y0 .. y0 + rows - 1, a band of the
+    image, read from input rows y0 - 1 .. y0 + rows: a band packs its own
+    columns, with a one-row halo on each side.  Returns the
+    (C*9, B*rows*W) view: row c*9 + 3i + j holds channel c shifted by
+    (i-1, j-1), column (b*rows + y - y0)*W + x one output pixel.  Cells
+    that fall in the zero padding are never written, so cols must come
+    from _column_buffer; such a buffer stays valid across calls of one
+    shape and band.
     """
     _, _, h, w = x.shape
+    rows = cols.shape[4]
     xc = x.transpose(1, 0, 2, 3)
     for i in range(3):
-        dst_y, src_y = _window(i - 1, h)
+        ## band row r reads input row y0 + r + i - 1, where that is inside the image
+        top = y0 + i - 1
+        lo, hi = max(0, -top), min(rows, h - top)
         for j in range(3):
             dst_x, src_x = _window(j - 1, w)
-            cols[:, i, j, :, dst_y, dst_x] = xc[:, :, src_y, src_x]
+            cols[:, i, j, :, lo:hi, dst_x] = xc[:, :, top + lo : top + hi, src_x]
     return cols.reshape(cols.shape[0] * 9, -1)
 
 
@@ -109,7 +139,8 @@ def _column_buffer(cin: int, b: int, h: int, w: int) -> np.ndarray:
 
     Those are the cells _pack_columns never writes: row 0 of the taps that
     look one row up, row H-1 of those that look one row down, and likewise
-    column 0 and column W-1.
+    column 0 and column W-1.  A band that does not touch the image's top or
+    bottom edge writes its rows 0 or H-1 over the zeros.
     """
     cols = np.empty((cin, 3, 3, b, h, w))
     cols[:, 0, :, :, 0, :] = 0.0
@@ -127,6 +158,15 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     once.  A 3x3 kernel packs one image's columns at a time into a reused
     buffer, so at most one image's 9x copy exists, and W @ cols writes that
     image's NCHW rows in place.
+
+    Inside cores.threaded(), an image of at least CONV_SPLIT_COLUMNS column
+    cells (C*9*H*W) has its output rows split into up to one band per
+    worker (_bands).  Each band packs only its rows' columns, with a
+    one-row halo, into its own buffer, and its GEMM writes that band's rows
+    of every image, so the bands' buffers together are one image's.  Each
+    output cell is the same dot product over C*9 either way, bitwise equal
+    to the unsplit one as long as OpenBLAS computes it with the same
+    kernel; see _bands.
     """
     cout, cin, k, _ = weight.shape
     b, _, h, w = x.shape
@@ -135,10 +175,41 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(out.reshape(b, h, w, cout).transpose(0, 3, 1, 2))
     wmat = weight.reshape(cout, cin * 9)
     out = np.empty((b, cout, h, w))
-    cols = _column_buffer(cin, 1, h, w)
-    for n in range(b):
-        np.matmul(wmat, _pack_columns(x[n : n + 1], cols), out=out[n].reshape(cout, h * w))
+    out_rows = out.reshape(b, cout, h * w)
+    parts = cores.splitting() if cin * 9 * h * w >= CONV_SPLIT_COLUMNS else 1
+    unit, bands = _bands(h, w, cout * cin * 9, parts)
+
+    def band(i0: int, i1: int) -> None:
+        y0, y1 = i0 * unit, min(i1 * unit, h)
+        cols = _column_buffer(cin, 1, y1 - y0, w)
+        for n in range(b):
+            np.matmul(
+                wmat, _pack_columns(x[n : n + 1], cols, y0), out=out_rows[n, :, y0 * w : y1 * w]
+            )
+
+    cores.run(band, -(-h // unit), bands)
     return out
+
+
+def _bands(h: int, w: int, macs_per_pixel: int, parts: int) -> tuple[int, int]:
+    """(unit, bands): split H rows into at most `parts` bands of whole units.
+
+    OpenBLAS computes a GEMM's columns in tiles of a fixed width, and its
+    narrower tail tile sums in another order; a unit of rows spans a
+    multiple of BAND_ALIGN pixels, which the tile widths divide, so every
+    band starts on a tile boundary of the whole image's GEMM.  Below
+    BAND_MACS multiply-adds OpenBLAS switches to a small-matrix kernel,
+    which sums a dot product longer than its K block in another order, so
+    every band, the shortest included, stays above that.
+    """
+    unit = BAND_ALIGN // math.gcd(BAND_ALIGN, w)
+    units = -(-h // unit)
+    for bands in range(min(parts, units), 1, -1):
+        ## the shortest band: its whole units, less the last unit's missing rows
+        shortest = (units // bands) * unit - (units * unit - h)
+        if shortest * w * macs_per_pixel >= BAND_MACS:
+            return unit, bands
+    return unit, 1
 
 
 class Conv2d(Layer):
@@ -218,6 +289,16 @@ class TransposeConv2x2(Layer):
         return np.einsum("bdhwij,cdij->bchw", dyr, self.weight.value, optimize=True)
 
 
+def _channel_parts(x: np.ndarray) -> int:
+    """Ranges a BatchNorm over x (B, C, H, W) splits its channels into.
+
+    Each range holds two channels or more: numpy sums a channel's (B, H, W)
+    cells in the same order as in the whole array when other channels
+    share the call, and in another order when it is reduced alone.
+    """
+    return min(cores.splitting(), x.shape[1] // 2) if x.size >= NORM_SPLIT_CELLS else 1
+
+
 class BatchNorm2d(Layer):
     """Per-channel normalization over (B, H, W) with batch statistics.
 
@@ -236,11 +317,21 @@ class BatchNorm2d(Layer):
         """x-hat as a new array, cached with invstd when keep is set.
 
         x - mean is computed once and serves the variance too, the same
-        operations np.var runs on its own copy.
+        operations np.var runs on its own copy.  Channels are independent,
+        so above NORM_SPLIT_CELLS they are split between the workers
+        (_channel_parts), bitwise equal.
         """
-        xhat = x - x.mean(axis=(0, 2, 3), keepdims=True)
-        invstd = 1.0 / np.sqrt((xhat * xhat).mean(axis=(0, 2, 3), keepdims=True) + self.eps)
-        xhat *= invstd
+        xhat = np.empty(x.shape)
+        invstd = np.empty((1, x.shape[1], 1, 1))
+
+        def part(c0: int, c1: int) -> None:
+            xc, xh = x[:, c0:c1], xhat[:, c0:c1]
+            np.subtract(xc, xc.mean(axis=(0, 2, 3), keepdims=True), out=xh)
+            inv = invstd[:, c0:c1]
+            inv[...] = 1.0 / np.sqrt((xh * xh).mean(axis=(0, 2, 3), keepdims=True) + self.eps)
+            xh *= inv
+
+        cores.run(part, x.shape[1], _channel_parts(x))
         self._xhat, self._invstd = (xhat, invstd) if keep else (None, None)
         return xhat
 
@@ -271,9 +362,17 @@ class BatchNormReLU(BatchNorm2d):
     """
 
     def _activate(self, xhat: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        y = np.multiply(xhat, self.gamma.value[:, None, None], out=out)
-        y += self.beta.value[:, None, None]
-        return np.maximum(y, 0.0, out=y)
+        """relu(gamma * x-hat + beta) into out, or a new array; split by channel."""
+        y = np.empty(xhat.shape) if out is None else out
+        gamma, beta = self.gamma.value[:, None, None], self.beta.value[:, None, None]
+
+        def part(c0: int, c1: int) -> None:
+            yc = np.multiply(xhat[:, c0:c1], gamma[c0:c1], out=y[:, c0:c1])
+            yc += beta[c0:c1]
+            np.maximum(yc, 0.0, out=yc)
+
+        cores.run(part, xhat.shape[1], _channel_parts(xhat))
+        return y
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         xhat = self._standardize(x, keep)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cores
 from .changefeat import EdgeSet, XorChanges, build_edge_set
 from .objective import threshold_probs
 
@@ -386,8 +387,10 @@ def integrate(
     degenerate mode ignores change evidence entirely and thresholds the
     segmentation probabilities at 0.5.  The flattened raster is decoded in
     tiles of TILE_PIXELS pixels, inline for one worker or on a pool of at
-    most one thread per tile.  Each tile's log tables are built and checked
-    just before it is decoded, so only a tile's tables exist at a time.
+    most one thread per tile, with OpenBLAS held at one thread
+    (cores.one_blas_thread); where it cannot be held the tiles run inline.
+    Each tile's log tables are built and checked just before it is
+    decoded, so only a tile's tables exist at a time.
     Pixels are independent, so results are identical for every worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
@@ -433,12 +436,13 @@ def integrate(
         states[:, lo:hi] = st.reshape(t_len, hi - lo)
         score[lo:hi] = sc.reshape(hi - lo)
 
-    pool_size = min(workers, len(starts))
+    ## two workers never share the cores with BLAS's own threads
+    pool_size = min(workers, len(starts)) if cores.blas_pinnable() else 1
     if pool_size <= 1:
         for lo in starts:
             run(lo)
     else:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        with cores.one_blas_thread(), ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(run, starts))
     return MapSeries(
         states=states.reshape(t_len, h, w),

@@ -6,15 +6,19 @@ The change branch consumes parameter-free later-minus-earlier differences
 of the refined pyramid, both as its deepest input and as its skip
 connections.  backward() routes loss gradients from both heads down to
 every parameter.  forward(..., keep=False) keeps no backward cache in any
-layer, for callers that never call backward (inference, validation).
+layer, for callers that never call backward (inference, validation), and
+runs inside cores.threaded(): its 3x3 convs, BatchNorms and refiners split
+their work between the cores, bitwise equal to one core's result.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cores
 from .backbone import BackboneConfig, Decoder, Encoder
 from .changefeat import EdgeSet, change_pyramid, change_pyramid_backward
 from .jsonconfig import JsonConfig
@@ -99,11 +103,14 @@ class ChangeModel(Layer):
             )
         ## the edge set doubles as the mark that the layer caches are live
         self._edges = edges if keep else None
-        pyramid = self.encoder.forward(images, keep=keep)
-        refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
-        seg = self.seg_decoder.forward(refined, keep=keep)
-        diff = change_pyramid(refined, edges)
-        ch = self.change_decoder.forward(diff, keep=keep)
+        ## inference splits its large layers between the cores; training
+        ## leaves its whole-batch GEMMs to BLAS's own threads
+        with contextlib.nullcontext() if keep else cores.threaded():
+            pyramid = self.encoder.forward(images, keep=keep)
+            refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
+            seg = self.seg_decoder.forward(refined, keep=keep)
+            diff = change_pyramid(refined, edges)
+            ch = self.change_decoder.forward(diff, keep=keep)
         return seg, ch
 
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:

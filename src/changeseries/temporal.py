@@ -21,6 +21,13 @@ output from its x-hat (LayerNorm.output), the 4D-wide FFN hidden layer
 from one ff1 GEMM and ReLU (TransformerEncoderLayer._hidden), and
 attention's context from its weights and V (MultiHeadSelfAttention.
 _context).  Every layer drops its cache once backward has read it.
+
+A forward with keep=False runs the encoder layers on tiles of a few
+hundred pixels, about TILE_HIDDEN_BYTES of FFN hidden layer each, so a
+tile's activations stay in cache instead of streaming a hidden layer of
+tens of MB through memory; inside cores.threaded() the tiles are shared
+out evenly between the workers.  Each tile is bitwise equal to the same
+pixels of the whole array (TemporalRefiner._forward_tiles).
 """
 
 from __future__ import annotations
@@ -30,9 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import cores
 from .jsonconfig import JsonConfig
 from .layers import Layer, LayerNorm, Linear, Param, ReLU, channel_outer, kaiming_uniform
 from .rng import SeededRng
+
+
+## a keep=False forward runs pixel tiles whose FFN hidden layer has about
+## this many bytes, so a tile's activations stay in a core's cache
+TILE_HIDDEN_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -205,11 +218,40 @@ class TemporalRefiner(Layer):
         if d != self.dim:
             raise ValueError(f"refiner built for width {self.dim}, got {d}")
         seq = x.reshape(t, d, h * w)
-        if self.cfg.use_position_codes:
-            seq = seq + temporal_encoding(t, d)[:, :, None]
-        for block in self.blocks:
-            seq = block.forward(seq, keep=keep)
-        return seq.reshape(t, d, h, w)
+        code = temporal_encoding(t, d)[:, :, None] if self.cfg.use_position_codes else None
+        if keep:
+            if code is not None:
+                seq = seq + code
+            for block in self.blocks:
+                seq = block.forward(seq, keep=True)
+            return seq.reshape(t, d, h, w)
+        return self._forward_tiles(seq, code).reshape(t, d, h, w)
+
+    def _forward_tiles(self, seq: np.ndarray, code: np.ndarray | None) -> np.ndarray:
+        """The keep=False forward, TILE_HIDDEN_BYTES of FFN hidden layer at a time.
+
+        Every operation of an encoder layer acts on each pixel alone, so a
+        contiguous copy of a few pixels' tokens runs the same arithmetic as
+        the whole (T, D, P) array and its output is bitwise equal.  Tiles
+        differ in size by at most one pixel, and a tile of two pixels or
+        more keeps the pixel axis innermost in every reduction, as in the
+        whole array; they are split between the workers (cores.run).
+        """
+        t, d, p = seq.shape
+        per_tile = max(2, TILE_HIDDEN_BYTES // (t * self.cfg.ff_mult * d * 8))
+        bounds = cores.ranges(p, max(1, p // per_tile))
+        out = np.empty((t, d, p))
+
+        def run(i0: int, i1: int) -> None:
+            for lo, hi in bounds[i0:i1]:
+                tile = seq[:, :, lo:hi]
+                tile = tile + code if code is not None else tile.copy()
+                for block in self.blocks:
+                    tile = block.forward(tile, keep=False)
+                out[:, :, lo:hi] = tile
+
+        cores.run(run, len(bounds), cores.splitting())
+        return out
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         t, d, h, w = dy.shape

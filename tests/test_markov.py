@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from changeseries import markov
+from changeseries import cores, markov
 from changeseries.changefeat import build_edge_set
 from changeseries.markov import (
     PROB_EPS,
@@ -490,6 +490,34 @@ def test_integrate_worker_counts_agree(monkeypatch):
     ## many small uneven tiles
     monkeypatch.setattr(markov, "TILE_PIXELS", 10)
     agree(*random_instance(16, 4, "dense", h=13, w=11), ("dense", "cyclic", "adjacent"))
+
+
+def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
+    ## two workers never run on a multi-threaded BLAS, and one worker
+    ## leaves BLAS its threads; states and scores are the same at 1, 2 and 3
+    if not cores.blas_pinnable():
+        pytest.skip("OpenBLAS thread count cannot be set")
+    pinned = []
+    for name in ("map_decode_general", "map_decode_chain"):
+        decode = getattr(markov, name)
+
+        def spy(tile, decode=decode):
+            pinned.append(cores._pinned)
+            return decode(tile)
+
+        monkeypatch.setattr(markov, name, spy)
+    seg, ch, edges = random_instance(17, 5, "dense", h=70, w=70)
+    for mode in ("dense", "cyclic", "adjacent"):
+        base = None
+        for workers in (1, 2, 3):
+            pinned.clear()
+            series = integrate(seg, ch, edges, mode, workers=workers)
+            assert pinned and all(bool(p) == (workers > 1) for p in pinned)
+            if base is None:
+                base = series
+            assert np.array_equal(series.states, base.states)
+            assert np.array_equal(series.map_score.view(np.uint64), base.map_score.view(np.uint64))
+    assert cores._pinned == 0
 
 
 def test_integrate_pool_never_exceeds_tiles(monkeypatch):

@@ -96,11 +96,21 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _load_edges(path: str) -> EdgeSet:
-    """An edge set file, or a run manifest whose outputs hold one."""
+def _load_edges(path: str, seg_path: str, seg_probs: np.ndarray) -> EdgeSet:
+    """The edge set over seg_probs' timestamps in an edge set file, or in a
+    run manifest whose outputs hold one.
+
+    The file's t is compared with seg_probs' T before its edge list is
+    built, so a file naming a far longer series cannot fill memory.
+    """
+    if seg_probs.ndim != 3:
+        raise CliError(f"{seg_path}: shape {seg_probs.shape} is not (T, H, W)")
     obj = _load_json(path)
     if "kind" not in obj and isinstance(obj.get("outputs"), dict):
         obj = obj["outputs"].get("edges")
+    if isinstance(obj, dict) and type(obj.get("t")) is int and obj["t"] != len(seg_probs):
+        raise CliError(f"{path} describes an edge set over T = {obj['t']}, "
+                       f"but {seg_path} has T = {len(seg_probs)}")
     try:
         return EdgeSet.from_jsonable(obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -310,7 +320,7 @@ def _cmd_integrate(args) -> int:
         if not args.ch_probs or not args.edges:
             raise CliError(f"mode {args.mode!r} needs --ch-probs and --edges")
         ch_probs = _read_probs(args.ch_probs)
-        available = _load_edges(args.edges)
+        available = _load_edges(args.edges, args.seg_probs, seg_probs)
     series = integrate(
         seg_probs, ch_probs, available, args.mode, workers=args.workers
     )
@@ -386,10 +396,7 @@ def _cmd_eval(args) -> int:
             raise CliError("eval needs --pred-states or (--seg-probs, --ch-probs, --edges)")
         seg_probs = _read_probs(args.seg_probs)
         ch_probs = _read_probs(args.ch_probs)
-        edges = _load_edges(args.edges)
-        if seg_probs.ndim != 3 or len(seg_probs) != edges.t_len:
-            raise CliError(f"{args.seg_probs}: shape {seg_probs.shape} is not (T, H, W) "
-                           f"with T = {edges.t_len}, the series length of {args.edges}")
+        edges = _load_edges(args.edges, args.seg_probs, seg_probs)
         rows = (len(edges), *seg_probs.shape[1:])
         if ch_probs.shape != rows:
             raise CliError(f"{args.ch_probs}: shape {ch_probs.shape}, expected {rows}, "

@@ -2,22 +2,23 @@
 
 A layer that splits its work hands run() a function over index ranges:
 image rows of a 3x3 conv, channels of a BatchNorm, pixel tiles of the
-temporal refiner.  run() calls it once on the whole range, or on one
-contiguous range per part, the first on the calling thread and each other
-on a thread of the shared pool.  Every range writes its own part of an
-output the caller allocated, with the same operations the whole range
-would run, so results do not depend on the worker count.
+temporal refiner or of the Markov decoders.  run() calls it once on the
+whole range, or on one contiguous range per part, the first on the calling
+thread and each other on a thread of the shared pool.  Every range writes
+its own part of an output the caller allocated, with the same operations
+the whole range would run, so results do not depend on the worker count.
+No other module starts a thread.
 
 Work is split only inside a threaded() block, which the caller opens
-around a whole pass (ChangeModel's inference forward).  Inside it,
-OpenBLAS is held at one thread through the scipy_openblas_set_num_threads64_
-symbol that numpy's bundled OpenBLAS exports, and afterwards it goes back
-to its default.  The block spans the pass, not each split: an OpenBLAS
-worker spins on a core for about 0.1 s after every multi-threaded GEMM
-(measured on 2 vCPUs), so a GEMM between two splits would leave it
-spinning against both workers.  Outside a block nothing is split and BLAS
-threads its GEMMs as before, which training, whose weight gradients are
-whole-batch GEMMs, runs faster.
+around a whole pass (ChangeModel's inference forward, the decoding in
+markov.integrate).  Inside it, OpenBLAS is held at one thread through the
+scipy_openblas_set_num_threads64_ symbol that numpy's bundled OpenBLAS
+exports, and afterwards it goes back to its default.  The block spans the
+pass, not each split: an OpenBLAS worker spins on a core for about 0.1 s
+after every multi-threaded GEMM (measured on 2 vCPUs), so a GEMM between
+two splits would leave it spinning against both workers.  Outside a block
+nothing is split and BLAS threads its GEMMs as before, which training,
+whose weight gradients are whole-batch GEMMs, runs faster.
 
 Split work runs on WORKERS threads, len(os.sched_getaffinity(0)) when
 WORKERS is None: the calling thread and a pool of WORKERS - 1.  Two
@@ -81,30 +82,25 @@ def _blas_handle() -> tuple | None:
         return _blas
 
 
-def blas_pinnable() -> bool:
-    """Whether OpenBLAS can be held at one thread, so threads may share the cores."""
-    return _blas_handle() is not None
-
-
 def workers() -> int:
     """Threads split work runs on: WORKERS, or 1 if OpenBLAS cannot be pinned."""
     n = WORKERS if WORKERS is not None else len(os.sched_getaffinity(0))
-    return n if n > 1 and blas_pinnable() else 1
+    return n if n > 1 and _blas_handle() is not None else 1
 
 
 @contextmanager
-def one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block, if it can be.
+def threaded():
+    """Let run() split inside the block, with OpenBLAS at one thread.
 
-    Blocks may nest and overlap across threads: the default comes back
-    when the last one ends.
+    With one worker this does nothing: BLAS keeps its threads.  Blocks may
+    nest and overlap across threads: the default comes back when the last
+    one ends.
     """
     global _pinned
-    blas = _blas_handle()
-    if blas is None:
+    if workers() <= 1:
         yield
         return
-    set_threads, _, default = blas
+    set_threads, _, default = _blas_handle()
     with _lock:
         if _pinned == 0:
             set_threads(1)
@@ -116,19 +112,6 @@ def one_blas_thread():
             _pinned -= 1
             if _pinned == 0:
                 set_threads(default)
-
-
-@contextmanager
-def threaded():
-    """Let run() split inside the block, with OpenBLAS at one thread.
-
-    With one worker this does nothing: BLAS keeps its threads.
-    """
-    if workers() <= 1:
-        yield
-        return
-    with one_blas_thread():
-        yield
 
 
 def _mark_worker() -> None:

@@ -6,7 +6,8 @@ held as log-potentials: each node scores its two states with
 (t, k) scores its two states with log(1-c) where they agree and log c
 where they differ, from the change probability c.  Decoding maximizes the
 sum of log-potentials, i.e. the product of potentials.  integrate
-tabulates and decodes the raster one tile at a time.
+tabulates and decodes the raster one tile at a time, and with more than
+one worker splits its tiles between the cores (cores.run).
 
 Two exact decoders:
 
@@ -38,7 +39,7 @@ states nor scores depend on BLAS rounding, tiling or the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ from .objective import threshold_probs
 
 PROB_EPS = 1e-6
 T_MAX = 20
-## integrate decodes the flattened raster in tiles of this many pixels
+## integrate decodes the flattened raster in tiles of at most this many pixels
 TILE_PIXELS = 4096
 ## the general decoder scores at most this many (assignment, pixel) pairs
 ## at once
@@ -386,12 +387,14 @@ def integrate(
     subset of `available`, the edge set describing ch_probs' rows.  The
     degenerate mode ignores change evidence entirely and thresholds the
     segmentation probabilities at 0.5.  The flattened raster is decoded in
-    tiles of TILE_PIXELS pixels, inline for one worker or on a pool of at
-    most one thread per tile, with OpenBLAS held at one thread
-    (cores.one_blas_thread); where it cannot be held the tiles run inline.
-    Each tile's log tables are built and checked just before it is
-    decoded, so only a tile's tables exist at a time.
-    Pixels are independent, so results are identical for every worker count.
+    ceil(m / TILE_PIXELS) tiles whose sizes differ by at most one.  With
+    workers > 1 the decode runs inside cores.threaded(), OpenBLAS held at
+    one thread, and cores.run splits the tiles between at most `workers`
+    threads, never more than the tiles or cores.workers(); the calling
+    thread decodes a share.  Each tile's log tables are built and checked
+    just before it is decoded, so each thread holds one tile's tables at a
+    time.  Pixels are independent, so results are identical for every
+    worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -425,25 +428,20 @@ def integrate(
     ch_row = ch_probs.reshape(len(available), 1, m)
     states = np.empty((t_len, m), dtype=np.uint8)
     score = np.empty(m)
-    starts = range(0, m, TILE_PIXELS)
+    tiles = cores.ranges(m, -(-m // TILE_PIXELS))
 
-    def run(lo: int) -> None:
-        hi = min(lo + TILE_PIXELS, m)
+    def run(first: int, stop: int) -> None:
         ## looked up per call, so wrappers installed on the module see them
-        tile = build_potentials(seg_row[:, :, lo:hi], ch_row[rows, :, lo:hi], wanted)
         decode = map_decode_general if mode == "dense" else map_decode_chain
-        st, sc = decode(tile)
-        states[:, lo:hi] = st.reshape(t_len, hi - lo)
-        score[lo:hi] = sc.reshape(hi - lo)
+        for lo, hi in tiles[first:stop]:
+            tile = build_potentials(seg_row[:, :, lo:hi], ch_row[rows, :, lo:hi], wanted)
+            st, sc = decode(tile)
+            states[:, lo:hi] = st.reshape(t_len, hi - lo)
+            score[lo:hi] = sc.reshape(hi - lo)
 
-    ## two workers never share the cores with BLAS's own threads
-    pool_size = min(workers, len(starts)) if cores.blas_pinnable() else 1
-    if pool_size <= 1:
-        for lo in starts:
-            run(lo)
-    else:
-        with cores.one_blas_thread(), ThreadPoolExecutor(max_workers=pool_size) as pool:
-            list(pool.map(run, starts))
+    ## BLAS is held whenever workers may share the cores, even for one tile
+    with cores.threaded() if workers > 1 else contextlib.nullcontext():
+        cores.run(run, len(tiles), workers)
     return MapSeries(
         states=states.reshape(t_len, h, w),
         mode=mode,

@@ -6,6 +6,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -429,6 +431,41 @@ def test_eval_rejects_malformed_edge_file(tmp_path, clean_scene_dir, capsys, com
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert "edge set" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["integrate", "eval"])
+def test_edge_file_over_another_series_is_refused_before_its_pairs_exist(
+    tmp_path, clean_scene_dir, command
+):
+    ## a dense set over 10**6 timestamps has 5 * 10**11 pairs: under a 1 GiB
+    ## address-space cap, building them ends in a MemoryError traceback
+    bad = tmp_path / "edges.json"
+    bad.write_text(json.dumps(dict(DENSE3, t=10**6, edges=[])), encoding="utf-8")
+    out = tmp_path / "rep"
+    argv = [command,
+            "--seg-probs", os.path.join(clean_scene_dir, "seg_probs.rts"),
+            "--ch-probs", os.path.join(clean_scene_dir, "ch_probs.rts"),
+            "--edges", str(bad), "--out", str(out)]
+    argv += ["--mode", "dense"] if command == "integrate" else ["--labels", clean_scene_dir]
+    probe = (
+        "import resource, sys, time\n"
+        "cap = (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, cap)\n"
+        "from changeseries import cli\n"
+        "started = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, time.perf_counter() - started)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.stdout.split()[:1] == ["1"], done.stderr
+    assert float(done.stdout.split()[1]) < 2.0
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:"), done.stderr
+    assert "edge set over T = 1000000" in done.stderr
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Work split between the cores: bitwise equal to one core at every worker count."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,7 +24,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 WORKER_COUNTS = (1, 2, 3)
 
 needs_blas = pytest.mark.skipif(
-    not cores.blas_pinnable(), reason="OpenBLAS thread count cannot be set: nothing splits"
+    cores._blas_handle() is None, reason="OpenBLAS thread count cannot be set: nothing splits"
 )
 
 
@@ -305,6 +306,28 @@ def test_cli_train_and_infer_bytes_do_not_depend_on_workers(monkeypatch, tmp_pat
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
     assert read_raster(str(tmp_path / "infer1" / "seg_probs.rts")).shape == (3, 16, 16)
+
+
+def test_only_cores_starts_threads():
+    ## every thread comes from the one pool in cores.py, so run()'s caps on
+    ## the parts and threaded()'s hold on BLAS bound them all
+    package = os.path.join(SRC, "changeseries")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "cores.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                used = node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Attribute):
+                used = node.attr
+            else:
+                continue
+            if used in ("ThreadPoolExecutor", "Thread"):
+                found.append(f"{name}:{node.lineno} {used}")
+    assert not found
 
 
 def test_import_starts_no_thread_and_looks_nothing_up():

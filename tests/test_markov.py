@@ -445,9 +445,10 @@ def test_integrate_rejects_missing_edges():
 
 
 @pytest.mark.parametrize("table", ["seg", "ch"])
-def test_integrate_nan_in_last_tile_raises(table):
-    ## 67 x 67 pixels: the NaN sits in the second, partial tile, which a
-    ## worker thread builds and checks
+def test_integrate_nan_in_last_tile_raises(monkeypatch, table):
+    ## 67 x 67 pixels: the NaN sits in the second of two tiles, which a
+    ## pool thread builds and checks at two workers
+    monkeypatch.setattr(cores, "WORKERS", 2)
     seg, ch, edges = random_instance(23, 4, "dense", h=67, w=67)
     (seg if table == "seg" else ch)[-1, -1, -1] = np.nan
     for mode in ("adjacent", "dense"):
@@ -475,6 +476,9 @@ def test_integrate_noise_free_inputs_recover_labels():
 
 
 def test_integrate_worker_counts_agree(monkeypatch):
+    ## three cores, so workers=3 splits three ways on any machine
+    monkeypatch.setattr(cores, "WORKERS", 3)
+
     def agree(seg, ch, edges, modes):
         for mode in modes:
             base = integrate(seg, ch, edges, mode, workers=1)
@@ -483,20 +487,20 @@ def test_integrate_worker_counts_agree(monkeypatch):
                 assert np.array_equal(base.states, other.states)
                 assert np.array_equal(base.map_score, other.map_score)
 
-    ## 67 x 67 pixels: one full tile and one partial tile
+    ## 67 x 67 pixels, not a multiple of TILE_PIXELS: two tiles of 2244 and 2245
     side = 67
     assert side * side % markov.TILE_PIXELS and side * side > markov.TILE_PIXELS
     agree(*random_instance(16, 12, "dense", h=side, w=side), ("dense", "cyclic", "adjacent"))
-    ## many small uneven tiles
+    ## many small tiles
     monkeypatch.setattr(markov, "TILE_PIXELS", 10)
     agree(*random_instance(16, 4, "dense", h=13, w=11), ("dense", "cyclic", "adjacent"))
 
 
+@pytest.mark.skipif(cores._blas_handle() is None, reason="OpenBLAS thread count cannot be set")
 def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
-    ## two workers never run on a multi-threaded BLAS, and one worker
-    ## leaves BLAS its threads; states and scores are the same at 1, 2 and 3
-    if not cores.blas_pinnable():
-        pytest.skip("OpenBLAS thread count cannot be set")
+    ## BLAS is held exactly when workers > 1, for one tile as for two, and
+    ## states and scores are the same at 1, 2 and 3 workers
+    monkeypatch.setattr(cores, "WORKERS", 3)
     pinned = []
     for name in ("map_decode_general", "map_decode_chain"):
         decode = getattr(markov, name)
@@ -506,50 +510,61 @@ def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
             return decode(tile)
 
         monkeypatch.setattr(markov, name, spy)
-    seg, ch, edges = random_instance(17, 5, "dense", h=70, w=70)
-    for mode in ("dense", "cyclic", "adjacent"):
-        base = None
-        for workers in (1, 2, 3):
-            pinned.clear()
-            series = integrate(seg, ch, edges, mode, workers=workers)
-            assert pinned and all(bool(p) == (workers > 1) for p in pinned)
-            if base is None:
-                base = series
-            assert np.array_equal(series.states, base.states)
-            assert np.array_equal(series.map_score.view(np.uint64), base.map_score.view(np.uint64))
+    for side in (70, 20):
+        seg, ch, edges = random_instance(17, 5, "dense", h=side, w=side)
+        for mode in ("dense", "cyclic", "adjacent"):
+            base = None
+            for workers in (1, 2, 3):
+                pinned.clear()
+                series = integrate(seg, ch, edges, mode, workers=workers)
+                assert len(pinned) == -(-side * side // markov.TILE_PIXELS)
+                assert all(bool(p) == (workers > 1) for p in pinned)
+                if base is None:
+                    base = series
+                assert np.array_equal(series.states, base.states)
+                assert np.array_equal(
+                    series.map_score.view(np.uint64), base.map_score.view(np.uint64)
+                )
     assert cores._pinned == 0
 
 
-def test_integrate_pool_never_exceeds_tiles(monkeypatch):
-    pools, tasks = [], []
+def test_integrate_parts_never_exceed_workers_or_tiles(monkeypatch):
+    monkeypatch.setattr(cores, "WORKERS", 4)
+    monkeypatch.setattr(markov, "TILE_PIXELS", 1000)
+    side = 67
+    tiles = -(-side * side // markov.TILE_PIXELS)
+    seg, ch, edges = random_instance(18, 4, "adjacent", h=side, w=side)
+    ## every pixel's index is readable from its first probability
+    seg[0] = ((np.arange(side * side) + 0.5) / (side * side)).reshape(side, side)
+    parts, decoded = [], []
+    run, build = cores.run, markov.build_potentials
 
-    class InlinePool:
-        """Stands in for the thread pool: records its size, runs tasks inline."""
+    def spy_run(fn, n, limit):
+        def part(lo, hi):
+            parts.append((lo, hi))
+            fn(lo, hi)
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+        run(part, n, limit)
 
-        def __enter__(self):
-            return self
+    def spy_build(seg_tile, ch_tile, wanted):
+        decoded.append(np.rint(seg_tile[0, 0] * side * side - 0.5).astype(np.int64))
+        return build(seg_tile, ch_tile, wanted)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            tasks.append(len(items))
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(markov, "ThreadPoolExecutor", InlinePool)
-    seg, ch, edges = random_instance(18, 4, "adjacent", h=128, w=128)
-    tiles = -(-128 * 128 // markov.TILE_PIXELS)
-    assert tiles > 1
-    series = integrate(seg, ch, edges, "adjacent", workers=5000)
-    assert pools == [tiles] and tasks == [tiles]
+    monkeypatch.setattr(cores, "run", spy_run)
+    monkeypatch.setattr(markov, "build_potentials", spy_build)
     inline = integrate(seg, ch, edges, "adjacent", workers=1)
-    assert pools == [tiles]
-    assert np.array_equal(series.states, inline.states)
-    assert np.array_equal(series.map_score, inline.map_score)
+    for workers in (1, 2, 3, 5000):
+        parts.clear()
+        decoded.clear()
+        series = integrate(seg, ch, edges, "adjacent", workers=workers)
+        assert len(parts) == min(workers, tiles, cores.workers())
+        assert sorted(i for lo, hi in parts for i in range(lo, hi)) == list(range(tiles))
+        sizes = [len(ids) for ids in decoded]
+        assert len(sizes) == tiles and max(sizes) <= markov.TILE_PIXELS
+        assert max(sizes) - min(sizes) <= 1
+        assert np.array_equal(np.sort(np.concatenate(decoded)), np.arange(side * side))
+        assert np.array_equal(series.states, inline.states)
+        assert np.array_equal(series.map_score, inline.map_score)
 
 
 def test_map_series_xor_and_lookup():

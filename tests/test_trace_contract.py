@@ -48,7 +48,7 @@ def test_tracer_counts_each_fusion_tile(monkeypatch):
 
     spans = load_spans()
     monkeypatch.setattr(markov, "TILE_PIXELS", 40)
-    t_len, h, w = 6, 7, 9  # 63 pixels: one full tile and one partial tile
+    t_len, h, w = 6, 7, 9  # 63 pixels: two tiles of 31 and 32
     edges = build_edge_set("dense", t_len)
     rng = SeededRng(5)
     seg, ch = rng.uniform((t_len, h, w)), rng.uniform((len(edges), h, w))

@@ -439,12 +439,11 @@ class Sigmoid(Layer):
         self._y = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
-        y = np.clip(y, self.CLIP, 1.0 - self.CLIP)
+        ## e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        y = np.where(x >= 0, np.divide(1.0, d), np.divide(e, d, out=e))
+        np.clip(y, self.CLIP, 1.0 - self.CLIP, out=y)
         self._y = y if keep else None
         return y
 

@@ -7,7 +7,11 @@ held as log-potentials: each node scores its two states with
 where they differ, from the change probability c.  Decoding maximizes the
 sum of log-potentials, i.e. the product of potentials.  integrate
 tabulates and decodes the raster one tile at a time, and with more than
-one worker splits its tiles between the cores (cores.run).
+one worker splits its tiles between the cores (cores.run).  A tile is as
+large as TILE_BYTES of log tables allows, so each numpy call covers
+thousands of pixels: the chain sweep and the whole-column scores are
+plain ufunc passes (adds, comparisons, np.maximum, np.where on boolean
+states), not fancy indexing.  Probabilities must be finite in every mode.
 
 Two exact decoders:
 
@@ -40,7 +44,7 @@ states nor scores depend on BLAS rounding, tiling or the worker count.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -50,8 +54,10 @@ from .objective import threshold_probs
 
 PROB_EPS = 1e-6
 T_MAX = 20
-## integrate decodes the flattened raster in tiles of at most this many pixels
-TILE_PIXELS = 4096
+## integrate decodes the flattened raster in tiles whose log tables, 16 (T + N)
+## bytes per pixel, fill at most this many bytes: 13,443 pixels at adjacent
+## T=20, 2,496 at dense T=20
+TILE_BYTES = 8 << 20
 ## the general decoder scores at most this many (assignment, pixel) pairs
 ## at once
 BLOCK_ELEMENTS = 1 << 20
@@ -73,15 +79,18 @@ class PixelPotentials:
     node: (T, 2, H, W), node[t, s] scores state s at timestamp t.
     edge: (N, 2, H, W), edge[n, d] scores edge n's two states agreeing
     (d = 0) or differing (d = 1), so cell d = x_t XOR x_k.
-    Every value must be finite; build_potentials guarantees it by clamping.
+    Every value must be finite.  The tables are checked unless the caller
+    passes finite=True: build_potentials checks the probabilities it
+    tabulates instead, so no table is scanned twice.
     integrate builds one per tile: node (T, 2, 1, n), edge (N, 2, 1, n).
     """
 
     node: np.ndarray
     edge: np.ndarray
     edges: EdgeSet
+    finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, finite: bool):
         if self.node.ndim != 4 or self.node.shape[1] != 2:
             raise ValueError("node tables must have shape (T, 2, H, W)")
         if self.edge.ndim != 4 or self.edge.shape[1] != 2:
@@ -92,14 +101,18 @@ class PixelPotentials:
             raise ValueError("node table count does not match the edge set's T")
         if self.edge.shape[0] != len(self.edges):
             raise ValueError("edge table count does not match the edge set")
-        if not (np.isfinite(self.node).all() and np.isfinite(self.edge).all()):
+        if not finite and not (np.isfinite(self.node).all() and np.isfinite(self.edge).all()):
             raise ValueError("log-potentials must be finite")
 
 
 def build_potentials(
     seg_probs: np.ndarray, ch_probs: np.ndarray, edges: EdgeSet
 ) -> PixelPotentials:
-    """Clamp probabilities to [PROB_EPS, 1 - PROB_EPS] and tabulate their logs."""
+    """Clamp probabilities to [PROB_EPS, 1 - PROB_EPS] and tabulate their logs.
+
+    Each table is filled in place: the clamped p goes to cell 1, 1 - p to
+    cell 0, and one log pass covers both.  Probabilities must be finite.
+    """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     ch_probs = np.asarray(ch_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -108,12 +121,22 @@ def build_potentials(
         raise ValueError("ch_probs must have shape (N, H, W)")
     if seg_probs.shape[0] != edges.t_len or ch_probs.shape[0] != len(edges):
         raise ValueError("probability stacks do not match the edge set")
-    lo, hi = PROB_EPS, 1.0 - PROB_EPS
-    p = np.clip(seg_probs, lo, hi)
-    c = np.clip(ch_probs, lo, hi)
-    node = np.log(np.stack([1.0 - p, p], axis=1))
-    edge = np.log(np.stack([1.0 - c, c], axis=1))
-    return PixelPotentials(node=node, edge=edge, edges=edges)
+    _check_finite(seg_probs, ch_probs)
+    node, edge = (_log_table(probs) for probs in (seg_probs, ch_probs))
+    return PixelPotentials(node=node, edge=edge, edges=edges, finite=True)
+
+
+def _check_finite(*probs: np.ndarray) -> None:
+    if not all(np.isfinite(p).all() for p in probs):
+        raise ValueError("probabilities must be finite")
+
+
+def _log_table(probs: np.ndarray) -> np.ndarray:
+    """(K, 2, ...) table of (log(1 - p), log p), p clamped, written in place."""
+    table = np.empty((len(probs), 2) + probs.shape[1:])
+    np.clip(probs, PROB_EPS, 1.0 - PROB_EPS, out=table[:, 1])
+    np.subtract(1.0, table[:, 1], out=table[:, 0])
+    return np.log(table, out=table)
 
 
 def _flatten(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -121,22 +144,29 @@ def _flatten(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray, tuple[int, i
     return pot.node.reshape(t, 2, h * w), pot.edge.reshape(len(pot.edges), 2, h * w), (h, w)
 
 
-## _XOR[a, b] is the edge cell of states (a, b): 0 where they agree
-_XOR = np.array([[0, 1], [1, 0]])
-
-
-def _canonical_score(node, edge, pairs, states, cols) -> np.ndarray:
+def _canonical_score(node, edge, pairs, states, cols=None) -> np.ndarray:
     """Log-score of state columns states (T, K) at pixel columns cols (K,).
 
-    Node terms are summed in timestamp order, edge terms in edge order, and
-    the two sums added: one fixed order for every decoder and tile.
+    cols None means every pixel column, in order, and then states may be
+    boolean: each term picks its cell with np.where.  Gathered columns
+    index the cell and the column at once.  Node terms are summed in
+    timestamp order, edge terms in edge order, and the two sums added: one
+    fixed order for every decoder and tile.
     """
-    node_sum = edge_sum = 0.0
+    if cols is None:
+        def term(table, s):
+            return np.where(s, table[1], table[0])
+    else:
+        def term(table, s):
+            return table[s, cols]
+
+    node_sum, edge_sum = np.zeros(states.shape[1]), np.zeros(states.shape[1])
     for t in range(len(states)):
-        node_sum = node_sum + node[t, states[t], cols]
+        node_sum += term(node[t], states[t])
     for n, (t, k) in enumerate(pairs):
-        edge_sum = edge_sum + edge[n, states[t] ^ states[k], cols]
-    return node_sum + edge_sum
+        edge_sum += term(edge[n], states[t] ^ states[k])
+    node_sum += edge_sum
+    return node_sum
 
 
 def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:
@@ -144,24 +174,32 @@ def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:
 
     Runs the recursion from the last node backwards, then reconstructs
     forward so ties resolve toward the lexicographically smallest states.
-    Returns states (L, m).
+    Each step is a few whole-row ufunc passes into reused buffers.
+    Returns boolean states (L, m).
     """
     t_len, _, m = node.shape
-    ## beta[s] = best log-score of the suffix starting here in state s
-    beta = node[t_len - 1]
-    ptrs = []
+    ## b0, b1: best log-score of the suffix starting here in state 0, 1
+    b0, b1 = node[t_len - 1, 0].copy(), node[t_len - 1, 1].copy()
+    ## ptr0[t], ptr1[t]: best successor of state 0, 1 at t; state 0 on ties
+    ptr0 = np.empty((t_len - 1, m), dtype=bool)
+    ptr1 = np.empty((t_len - 1, m), dtype=bool)
+    ## s_ab: edge cell a XOR b plus the successor's score in state b
+    s00, s01, s10, s11 = (np.empty(m) for _ in range(4))
     for t in range(t_len - 2, -1, -1):
-        cand = edge[t][_XOR] + beta[None, :, :]
-        ## best successor state; state 0 on ties
-        ptrs.append(cand[:, 1] > cand[:, 0])
-        beta = node[t] + np.maximum(cand[:, 0], cand[:, 1])
-    ptrs.reverse()
+        e0, e1 = edge[t]
+        np.add(e0, b0, out=s00)
+        np.add(e1, b1, out=s01)
+        np.add(e1, b0, out=s10)
+        np.add(e0, b1, out=s11)
+        np.greater(s01, s00, out=ptr0[t])
+        np.greater(s11, s10, out=ptr1[t])
+        np.add(node[t, 0], np.maximum(s00, s01, out=s00), out=b0)
+        np.add(node[t, 1], np.maximum(s10, s11, out=s10), out=b1)
 
-    states = np.empty((t_len, m), dtype=np.intp)
-    states[0] = beta[1] > beta[0]
-    cols = np.arange(m)
+    states = np.empty((t_len, m), dtype=bool)
+    np.greater(b1, b0, out=states[0])
     for t in range(t_len - 1):
-        states[t + 1] = ptrs[t][states[t], cols]
+        states[t + 1] = np.where(states[t], ptr1[t], ptr0[t])
     return states
 
 
@@ -182,25 +220,26 @@ def map_decode_chain(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("chain decoding requires the adjacent or the cyclic edge set")
     node, edge, (h, w) = _flatten(pot)
     pairs = pot.edges.index_pairs
-    cols = np.arange(h * w)
     if cyclic:
         rows = [pot.edges.index_of(pair) for pair in adjacent]
         first, wrap = edge[rows[0]], edge[pot.edges.index_of((1, t_len))]
         branches = []
-        for x1 in (0, 1):
+        for x1 in (False, True):
+            ## an edge from x_1 scores x_2's (x_T's) state s in cell s XOR x1
+            cells = slice(None, None, -1 if x1 else 1)
             unary = node[1:].copy()
-            unary[0] += first[_XOR[x1]]
-            unary[-1] += wrap[_XOR[x1]]
-            fixed = np.full((1, h * w), x1, dtype=np.intp)
+            unary[0] += first[cells]
+            unary[-1] += wrap[cells]
+            fixed = np.full((1, h * w), x1)
             branch = np.concatenate([fixed, _sweep(unary, edge[rows[1:]])])
-            branches.append((branch, _canonical_score(node, edge, pairs, branch, cols)))
+            branches.append((branch, _canonical_score(node, edge, pairs, branch)))
         (states0, score0), (states1, score1) = branches
         pick = score1 > score0
         states = np.where(pick, states1, states0)
         score = np.where(pick, score1, score0)
     else:
         states = _sweep(node, edge)
-        score = _canonical_score(node, edge, pairs, states, cols)
+        score = _canonical_score(node, edge, pairs, states)
     return states.astype(np.uint8).reshape(t_len, h, w), score.reshape(h, w)
 
 
@@ -315,8 +354,8 @@ def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     every = np.arange(m)
     if n_fixed:
         bounds = _block_bounds(node, edge, pairs, n_fixed)
-        thresholded = (node[:, 1] > node[:, 0]).astype(np.intp)
-        incumbent = _canonical_score(node, edge, pairs, thresholded, every)
+        thresholded = node[:, 1] > node[:, 0]
+        incumbent = _canonical_score(node, edge, pairs, thresholded)
     top = np.full(m, -np.inf)  # best matrix-product score so far
     best = np.full(m, -np.inf)  # best canonical score so far
     best_idx = np.zeros(m, dtype=np.int64)
@@ -350,6 +389,20 @@ def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     return states.reshape(t_len, h, w), best.reshape(h, w)
 
 
+def _tiles(m: int, tables: int, parts: int) -> list[tuple[int, int]]:
+    """Pixel ranges of the tiles that integrate decodes; `tables` = T + N.
+
+    The fewest tiles whose log tables fit in TILE_BYTES, their sizes within
+    one pixel of each other.  A raster of more than one tile is cut into a
+    multiple of `parts` tiles (at most m), so every part decodes as many.
+    """
+    per_tile = max(1, TILE_BYTES // (16 * tables))
+    n = -(-m // per_tile)
+    if n > 1:
+        n = min(m, -(-n // parts) * parts)
+    return cores.ranges(m, n)
+
+
 @dataclass
 class MapSeries:
     """Fused binary building maps; series[(t, k)] is their XOR change map."""
@@ -368,9 +421,12 @@ class MapSeries:
 
 
 def _degenerate_series(seg_probs: np.ndarray) -> MapSeries:
+    _check_finite(seg_probs)
     states = threshold_probs(seg_probs)
+    ## each pixel's chosen probability, p or 1 - p, then its log, in place
     p = np.clip(seg_probs, PROB_EPS, 1.0 - PROB_EPS)
-    score = np.log(np.where(states, p, 1.0 - p)).sum(axis=0)
+    np.subtract(1.0, p, out=p, where=states == 0)
+    score = np.log(p, out=p).sum(axis=0)
     return MapSeries(states=states, mode="degenerate", edges=None, map_score=score)
 
 
@@ -386,15 +442,18 @@ def integrate(
     mode picks the edges entering each pixel's network; they must be a
     subset of `available`, the edge set describing ch_probs' rows.  The
     degenerate mode ignores change evidence entirely and thresholds the
-    segmentation probabilities at 0.5.  The flattened raster is decoded in
-    ceil(m / TILE_PIXELS) tiles whose sizes differ by at most one.  With
-    workers > 1 the decode runs inside cores.threaded(), OpenBLAS held at
-    one thread, and cores.run splits the tiles between at most `workers`
-    threads, never more than the tiles or cores.workers(); the calling
-    thread decodes a share.  Each tile's log tables are built and checked
-    just before it is decoded, so each thread holds one tile's tables at a
-    time.  Pixels are independent, so results are identical for every
-    worker count.
+    segmentation probabilities at 0.5.  Every mode raises ValueError on a
+    NaN or infinite probability it reads.  The flattened raster is decoded
+    in the fewest tiles whose log tables, 16 (T + N) bytes per pixel, fit
+    in TILE_BYTES, their sizes within one pixel of each other; a raster of
+    more than one tile is cut into a multiple of the parts, so each thread
+    decodes as many.  With workers > 1 the decode runs inside
+    cores.threaded(), OpenBLAS held at one thread, and cores.run splits
+    the tiles between at most `workers` threads, never more than the tiles
+    or cores.workers(); the calling thread decodes a share.  Each tile's
+    probabilities are checked and its log tables built just before it is
+    decoded, so each thread holds one tile's tables at a time.  Pixels are
+    independent, so results are identical for every worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -428,7 +487,6 @@ def integrate(
     ch_row = ch_probs.reshape(len(available), 1, m)
     states = np.empty((t_len, m), dtype=np.uint8)
     score = np.empty(m)
-    tiles = cores.ranges(m, -(-m // TILE_PIXELS))
 
     def run(first: int, stop: int) -> None:
         ## looked up per call, so wrappers installed on the module see them
@@ -441,6 +499,7 @@ def integrate(
 
     ## BLAS is held whenever workers may share the cores, even for one tile
     with cores.threaded() if workers > 1 else contextlib.nullcontext():
+        tiles = _tiles(m, t_len + len(wanted), min(workers, cores.splitting()))
         cores.run(run, len(tiles), workers)
     return MapSeries(
         states=states.reshape(t_len, h, w),

@@ -289,6 +289,27 @@ def test_sigmoid_values_and_clipping():
     assert y[3] == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), rel=1e-15)
 
 
+def masked_sigmoid(x):
+    """Sigmoid by boolean masks, one exp per branch: the formula Sigmoid replaced."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return np.clip(y, Sigmoid.CLIP, 1.0 - Sigmoid.CLIP)
+
+
+def test_sigmoid_equals_the_masked_formula():
+    rng = SeededRng(62)
+    edge_cases = [0.0, -0.0, 800.0, -800.0, np.nan, 36.0, -36.0, 1e-300, -1e-300]
+    x = np.concatenate([edge_cases, centered(rng, (4078,)) * 40.0]).reshape(1, 1, 61, 67)
+    y, want = Sigmoid().forward(x, keep=False), masked_sigmoid(x)
+    ## NaN stays NaN (its sign bit may differ); every other value bit for bit
+    assert np.array_equal(np.isnan(y), np.isnan(x)) and np.isnan(y.flat[4])
+    finite = ~np.isnan(x)
+    assert np.array_equal(y[finite].view(np.uint64), want[finite].view(np.uint64))
+
+
 def test_sigmoid_gradients():
     rng = SeededRng(61)
     check_layer(Sigmoid(), centered(rng, (3, 5)) * 3.0, rng)

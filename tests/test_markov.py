@@ -1,7 +1,9 @@
 """Per-pixel Markov-network construction and exact MAP decoding."""
 
+import hashlib
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -444,17 +446,43 @@ def test_integrate_rejects_missing_edges():
         integrate(seg, ch4, dense4, "adjacent")
 
 
+def tile_budget(monkeypatch, pixels, t_len, mode):
+    """Set TILE_BYTES to `pixels` pixels' log tables for `mode` at T = t_len."""
+    tables = t_len + len(build_edge_set(mode, t_len))
+    monkeypatch.setattr(markov, "TILE_BYTES", pixels * 16 * tables)
+    return tables
+
+
 @pytest.mark.parametrize("table", ["seg", "ch"])
 def test_integrate_nan_in_last_tile_raises(monkeypatch, table):
-    ## 67 x 67 pixels: the NaN sits in the second of two tiles, which a
-    ## pool thread builds and checks at two workers
+    ## 67 x 67 pixels in tiles of 4096: the NaN (or infinity) sits in the
+    ## second of two tiles, which a pool thread builds and checks at two workers
     monkeypatch.setattr(cores, "WORKERS", 2)
-    seg, ch, edges = random_instance(23, 4, "dense", h=67, w=67)
-    (seg if table == "seg" else ch)[-1, -1, -1] = np.nan
-    for mode in ("adjacent", "dense"):
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="finite"):
-                integrate(seg, ch, edges, mode, workers=workers)
+    build, raised_on_main = markov.build_potentials, []
+
+    def spy(seg_tile, ch_tile, wanted):
+        try:
+            return build(seg_tile, ch_tile, wanted)
+        except ValueError:
+            raised_on_main.append(threading.current_thread() is threading.main_thread())
+            raise
+
+    monkeypatch.setattr(markov, "build_potentials", spy)
+    ## the degenerate mode reads no change probabilities
+    modes = ("degenerate", "adjacent", "dense") if table == "seg" else ("adjacent", "dense")
+    for bad in (np.nan, np.inf, -np.inf):
+        seg, ch, edges = random_instance(23, 4, "dense", h=67, w=67)
+        (seg if table == "seg" else ch)[-1, -1, -1] = bad
+        for mode in modes:
+            if mode != "degenerate":
+                tables = tile_budget(monkeypatch, 4096, 4, mode)
+                assert markov._tiles(67 * 67, tables, 2) == [(0, 2244), (2244, 4489)]
+            for workers in (1, 2):
+                raised_on_main.clear()
+                with pytest.raises(ValueError, match="finite"):
+                    integrate(seg, ch, edges, mode, workers=workers)
+                if mode != "degenerate":
+                    assert raised_on_main == [workers == 1 or cores.workers() == 1]
 
 
 def test_integrate_noise_free_inputs_recover_labels():
@@ -479,21 +507,22 @@ def test_integrate_worker_counts_agree(monkeypatch):
     ## three cores, so workers=3 splits three ways on any machine
     monkeypatch.setattr(cores, "WORKERS", 3)
 
-    def agree(seg, ch, edges, modes):
-        for mode in modes:
+    def agree(seg, ch, edges, tile_pixels, one_part_tiles):
+        t_len, h, w = seg.shape
+        for mode in ("dense", "cyclic", "adjacent"):
+            tables = tile_budget(monkeypatch, tile_pixels, t_len, mode)
+            assert markov._tiles(h * w, tables, 1) == one_part_tiles
             base = integrate(seg, ch, edges, mode, workers=1)
             for workers in (2, 3, 7, 64):
                 other = integrate(seg, ch, edges, mode, workers=workers)
                 assert np.array_equal(base.states, other.states)
                 assert np.array_equal(base.map_score, other.map_score)
 
-    ## 67 x 67 pixels, not a multiple of TILE_PIXELS: two tiles of 2244 and 2245
-    side = 67
-    assert side * side % markov.TILE_PIXELS and side * side > markov.TILE_PIXELS
-    agree(*random_instance(16, 12, "dense", h=side, w=side), ("dense", "cyclic", "adjacent"))
+    ## 67 x 67 pixels in tiles of at most 4096: two tiles of 2244 and 2245
+    ## (three of 1496 and 1497 at three workers)
+    agree(*random_instance(16, 12, "dense", h=67, w=67), 4096, [(0, 2244), (2244, 4489)])
     ## many small tiles
-    monkeypatch.setattr(markov, "TILE_PIXELS", 10)
-    agree(*random_instance(16, 4, "dense", h=13, w=11), ("dense", "cyclic", "adjacent"))
+    agree(*random_instance(16, 4, "dense", h=13, w=11), 10, cores.ranges(143, 15))
 
 
 @pytest.mark.skipif(cores._blas_handle() is None, reason="OpenBLAS thread count cannot be set")
@@ -513,11 +542,13 @@ def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
     for side in (70, 20):
         seg, ch, edges = random_instance(17, 5, "dense", h=side, w=side)
         for mode in ("dense", "cyclic", "adjacent"):
+            ## 4900 pixels in tiles of at most 4096: two tiles, three at three parts
+            tile_budget(monkeypatch, 4096, 5, mode)
             base = None
             for workers in (1, 2, 3):
                 pinned.clear()
                 series = integrate(seg, ch, edges, mode, workers=workers)
-                assert len(pinned) == -(-side * side // markov.TILE_PIXELS)
+                assert len(pinned) == (1 if side == 20 else 3 if workers == 3 else 2)
                 assert all(bool(p) == (workers > 1) for p in pinned)
                 if base is None:
                     base = series
@@ -530,9 +561,8 @@ def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
 
 def test_integrate_parts_never_exceed_workers_or_tiles(monkeypatch):
     monkeypatch.setattr(cores, "WORKERS", 4)
-    monkeypatch.setattr(markov, "TILE_PIXELS", 1000)
+    tile_budget(monkeypatch, 1000, 4, "adjacent")
     side = 67
-    tiles = -(-side * side // markov.TILE_PIXELS)
     seg, ch, edges = random_instance(18, 4, "adjacent", h=side, w=side)
     ## every pixel's index is readable from its first probability
     seg[0] = ((np.arange(side * side) + 0.5) / (side * side)).reshape(side, side)
@@ -557,14 +587,97 @@ def test_integrate_parts_never_exceed_workers_or_tiles(monkeypatch):
         parts.clear()
         decoded.clear()
         series = integrate(seg, ch, edges, "adjacent", workers=workers)
+        ## ceil(4489 / 1000) = 5 tiles, cut into a multiple of the parts
+        split = min(workers, cores.workers())
+        tiles = -(-5 // split) * split
         assert len(parts) == min(workers, tiles, cores.workers())
         assert sorted(i for lo, hi in parts for i in range(lo, hi)) == list(range(tiles))
+        ## every part decodes as many tiles
+        assert len({hi - lo for lo, hi in parts}) == 1
         sizes = [len(ids) for ids in decoded]
-        assert len(sizes) == tiles and max(sizes) <= markov.TILE_PIXELS
+        assert len(sizes) == tiles and max(sizes) <= 1000
         assert max(sizes) - min(sizes) <= 1
         assert np.array_equal(np.sort(np.concatenate(decoded)), np.arange(side * side))
         assert np.array_equal(series.states, inline.states)
         assert np.array_equal(series.map_score, inline.map_score)
+
+
+def test_tiles_fit_the_byte_budget_and_split_evenly(monkeypatch):
+    monkeypatch.setattr(markov, "TILE_BYTES", 1000 * 16 * 7)
+    for m in (0, 1, 999, 1000, 1001, 4489, 10_000):
+        for parts in (1, 2, 3, 4):
+            tiles = markov._tiles(m, 7, parts)
+            sizes = [hi - lo for lo, hi in tiles]
+            assert [i for lo, hi in tiles for i in range(lo, hi)] == list(range(m))
+            assert all(0 < n <= 1000 for n in sizes)
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            ## one tile stays one; more are a multiple of the parts
+            fewest = -(-m // 1000)
+            assert len(tiles) == (fewest if fewest <= 1 else -(-fewest // parts) * parts)
+    ## never more tiles than pixels
+    assert markov._tiles(3, 7 * 1000, 2) == [(0, 1), (1, 2), (2, 3)]
+
+
+def digest_instance(seed, t_len, side):
+    """Seeded dense-edge rasters with an all-0.5 block and exact 0 and 1 probabilities."""
+    rng = SeededRng(seed)
+    edges = build_edge_set("dense", t_len)
+    seg = rng.uniform((t_len, side, side))
+    ch = rng.uniform((len(edges), side, side))
+    seg[:, :3, :3] = 0.5
+    ch[:, :3, :3] = 0.5
+    seg[:, 4, ::2] = 0.0
+    seg[:, 4, 1::2] = 1.0
+    ch[:, 5, ::3] = 0.0
+    ch[:, 5, 1::3] = 1.0
+    return seg, ch, edges
+
+
+## sha256 of integrate's states bytes then map_score bytes, pinned on the
+## implementation before the chain sweep and log tables were rewritten
+OUTPUT_DIGESTS = {
+    (41, 8, 67): {
+        "degenerate": "7d331b47339271d27d71eb778e2f601623be021007b270a71669903d4c8de4cd",
+        "adjacent": "717786af27711429bd7e595d771386d790e80011302b615f8dcba5c5c9a0bda4",
+        "cyclic": "9224318e2ae27cf78c34cb747baee088d6d382a3d530095b787a19ad287fba39",
+        "dense": "d706327d2df652fc134c3a46f438fc9e938c26127cdcaf71439b20389df9fbd0",
+    },
+    (42, 12, 24): {
+        "degenerate": "2a67b46b39a5b82762ac306e916ef556edaf2aeeff818a759631f4c50657d80a",
+        "adjacent": "c73ff77b1880c734cd85db0c7c6d7d9a73ab0e1500f10de54d6286d81e0044a4",
+        "cyclic": "8251ffdf9469e9dee5bcd008717da8389f71bc606c713db08e77a422cc42ea34",
+        "dense": "33d9bd1a0199221a78a9401e7ec6b98bdbdb57367df65fe2b6d8aaae8937df2c",
+    },
+    (43, 5, 160): {
+        "degenerate": "d49e1e87f831faf1ae48631f64a2782120c768bed8e2039d965dae7a7f79b6af",
+        "adjacent": "b2c6bc2c5d552df75e0233d21f596f281eb0950e6be3dba89b3f4d836c10f3d0",
+        "cyclic": "46646b1fb79bfd39f4d39aa4035d04f8e71b1407a5bde53984517728647ca04c",
+        "dense": "f0be1945a97af0e066bc79650fb7b5bf91c86b186b12e5c8dbf975b00d07eae1",
+    },
+    (44, 20, 40): {
+        "degenerate": "7427914e74422add03f7828776bde987c45e7cd59fe82ff4733ef4b18625ed90",
+        "adjacent": "1f5a0c5fc5f6947687476b271c39400f8c76536871d2f2f1abfb07fd4d68aee6",
+        "cyclic": "ab96785adacf9021568de12405061d8eb82fe1f1fc92eb84070232de249efc28",
+    },
+}
+
+
+@pytest.mark.parametrize("instance", sorted(OUTPUT_DIGESTS))
+def test_integrate_output_bytes_are_pinned(monkeypatch, instance):
+    monkeypatch.setattr(cores, "WORKERS", 3)
+    seg, ch, edges = digest_instance(*instance)
+    default = markov.TILE_BYTES
+    for mode, want in OUTPUT_DIGESTS[instance].items():
+        ## the default budget, then tiles of at most 100 pixels
+        for tile_pixels in (None, 100):
+            if tile_pixels and mode != "degenerate":
+                tile_budget(monkeypatch, tile_pixels, instance[1], mode)
+            else:
+                monkeypatch.setattr(markov, "TILE_BYTES", default)
+            for workers in (1, 2, 3):
+                series = integrate(seg, ch, edges, mode, workers=workers)
+                digest = hashlib.sha256(series.states.tobytes() + series.map_score.tobytes())
+                assert digest.hexdigest() == want, (mode, tile_pixels, workers)
 
 
 def test_map_series_xor_and_lookup():

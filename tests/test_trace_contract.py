@@ -47,8 +47,8 @@ def test_tracer_counts_each_fusion_tile(monkeypatch):
     from changeseries.rng import SeededRng
 
     spans = load_spans()
-    monkeypatch.setattr(markov, "TILE_PIXELS", 40)
-    t_len, h, w = 6, 7, 9  # 63 pixels: two tiles of 31 and 32
+    monkeypatch.setattr(markov, "TILE_BYTES", 40 * 16 * (6 + 15))
+    t_len, h, w = 6, 7, 9  # 63 pixels in tiles of at most 40: two of 31 and 32
     edges = build_edge_set("dense", t_len)
     rng = SeededRng(5)
     seg, ch = rng.uniform((t_len, h, w)), rng.uniform((len(edges), h, w))

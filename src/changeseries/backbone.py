@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,8 @@ CHECKPOINT_MAGIC = b"CKPT"
 class BackboneConfig(JsonConfig):
     scales: int = 3
     base_width: int = 8
-    in_channels: int = 3
-    use_batchnorm: bool = True
+    in_channels: int = field(default=3, metadata={"flag": None})
+    use_batchnorm: bool = field(default=True, metadata={"flag": None})
 
     def __post_init__(self):
         if self.scales < 2:

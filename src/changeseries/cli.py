@@ -223,19 +223,9 @@ def _cmd_synth_gen(args) -> int:
 
 
 def _model_config_from_args(args, in_channels: int) -> ModelConfig:
-    temporal = None
-    if args.tfr:
-        temporal = TemporalConfig(heads=args.heads, layers=args.attn_layers)
-    return ModelConfig(
-        backbone=BackboneConfig(
-            scales=args.scales,
-            base_width=args.base_width,
-            in_channels=in_channels,
-            use_batchnorm=not args.no_batchnorm,
-        ),
-        temporal=temporal,
-        seed=args.seed,
-    )
+    backbone = replace(BackboneConfig.from_args(args), in_channels=in_channels,
+                       use_batchnorm=not args.no_batchnorm)
+    return ModelConfig(backbone, TemporalConfig.from_args(args) if args.tfr else None, args.seed)
 
 
 def _cmd_train(args) -> int:
@@ -473,12 +463,25 @@ class ScenesConfig(JsonConfig):
 
 
 @dataclass(frozen=True)
+class CorruptConfig(JsonConfig):
+    """Corrupted truth in place of a model: one grid cell per seg_sigma."""
+
+    seg_sigma: tuple[float, ...]
+    ch_sigma: float
+
+    def __post_init__(self):
+        if any(sigma < 0 for sigma in (*self.seg_sigma, self.ch_sigma)):
+            raise ValueError("corruption sigmas must be >= 0")
+
+
+@dataclass(frozen=True)
 class AblateConfig(JsonConfig):
     grid: GridConfig = field(default_factory=GridConfig)
     model: BackboneConfig = field(default_factory=BackboneConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     scenes: ScenesConfig = field(default_factory=ScenesConfig)
     checkpoint: str | None = None
+    corrupt: CorruptConfig | None = None
     workers: int = 1
     seed: int = 0
 
@@ -507,7 +510,12 @@ def load_ablate_config(path: str) -> tuple[AblateConfig, dict]:
         cfg = AblateConfig.from_partial(raw)
         if not cfg.scenes.names("val"):
             raise ValueError("scenes name no validation scene")
-        if cfg.checkpoint is None:
+        if cfg.corrupt is not None:
+            if cfg.checkpoint is not None:
+                raise ValueError("checkpoint and corrupt exclude each other")
+            for t in cfg.grid.t:
+                replace(cfg.scenes.spec, t_len=t)  # every series length checks itself
+        elif cfg.checkpoint is None:
             if not cfg.scenes.names("train"):
                 raise ValueError("scenes name no training scene")
             cfg.cells(cfg.model.in_channels)  # every cell's configs check themselves
@@ -521,13 +529,14 @@ def _mode_feasible(mode: str, kind: str, t_len: int) -> bool:
     return mode == "degenerate" or have.issuperset(build_edge_set(mode, t_len).edges)
 
 
-def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
-    """One row per mode, averaged over the scenes; each scene is forwarded once."""
+def _ablate_eval_rows(probs, kind, modes, val_scenes, workers) -> list:
+    """One row per mode, averaged over the scenes; probs(scene, edges) gives each
+    scene's segmentation and change probabilities once."""
     t_len = val_scenes[0].t_len
     metrics = {mode: {} for mode in modes if _mode_feasible(mode, kind, t_len)}
     for scene in val_scenes if metrics else ():
         edges = build_edge_set(kind, scene.t_len)
-        seg_probs, ch_probs = model.forward(scene.images, edges, keep=False)
+        seg_probs, ch_probs = probs(scene, edges)
         for mode, values in metrics.items():
             series = integrate(seg_probs, ch_probs, edges, mode, workers=workers)
             for task in TASKS:
@@ -542,18 +551,34 @@ def _ablate_eval_rows(model, kind, modes, val_scenes, workers) -> list:
     ]
 
 
+def _forward(model):
+    return lambda scene, edges: model.forward(scene.images, edges, keep=False)
+
+
 def _cmd_ablate(args) -> int:
     run = RunDir(args.out, "ablate")
     cfg, raw = load_ablate_config(args.config)
     modes, workers = cfg.grid.mti_modes, cfg.workers
     rows = []
 
-    if cfg.checkpoint is not None:
+    if cfg.corrupt is not None:
+        ch_sigma = cfg.corrupt.ch_sigma
+        for t_len in cfg.grid.t:
+            val_scenes = cfg.scenes.load("val", t_len)
+            for sigma in cfg.corrupt.seg_sigma:
+                def probs(scene, edges):
+                    seg, ch = corrupt_to_probabilities(scene, sigma, ch_sigma, scene.spec.seed + 1)
+                    return seg, stack_probs(ch, edges)
+                cell = {"t": t_len, "seg_sigma": sigma, "ch_sigma": ch_sigma}
+                for row in _ablate_eval_rows(probs, "dense", modes, val_scenes, workers):
+                    rows.append({**cell, **row})
+    elif cfg.checkpoint is not None:
         model, train_cfg = _load_model(cfg.checkpoint)
         kind = train_cfg.edge_kind
         t_len = train_cfg.t_train if cfg.scenes.t is None else cfg.scenes.t
         cell = {"checkpoint": cfg.checkpoint, "edge_kind": kind}
-        for row in _ablate_eval_rows(model, kind, modes, cfg.scenes.load("val", t_len), workers):
+        val_scenes = cfg.scenes.load("val", t_len)
+        for row in _ablate_eval_rows(_forward(model), kind, modes, val_scenes, workers):
             rows.append({**cell, **row})
     else:
         stored = None
@@ -575,7 +600,8 @@ def _cmd_ablate(args) -> int:
                 cell = {"t": t_len, "loss_edges": kind, "tfr": use_tfr, "n_params": len(names),
                         "attention_params": sum(n.startswith("temporal.") for n in names),
                         "best_val_loss": result.best_val_loss}
-                for row in _ablate_eval_rows(result.model, kind, modes, val_scenes, workers):
+                for row in _ablate_eval_rows(_forward(result.model), kind, modes, val_scenes,
+                                             workers):
                     rows.append({**cell, **row})
 
     columns = list(dict.fromkeys(key for row in rows for key in row))
@@ -618,10 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", nargs="+", required=True)
     p.add_argument("--val-scenes", nargs="+", required=True)
     TrainConfig.add_flags(p)
-    p.add_argument("--scales", type=int, default=BackboneConfig.scales)
-    p.add_argument("--base-width", type=int, default=BackboneConfig.base_width)
-    p.add_argument("--heads", type=int, default=TemporalConfig.heads)
-    p.add_argument("--attn-layers", type=int, default=TemporalConfig.layers)
+    BackboneConfig.add_flags(p)
+    TemporalConfig.add_flags(p)
     p.add_argument("--no-batchnorm", action="store_true")
     tfr = p.add_mutually_exclusive_group()
     tfr.add_argument("--tfr", dest="tfr", action="store_true", default=True)

@@ -8,14 +8,17 @@ such as tuple[int, ...] (a JSON list), or any of these or None.  Unknown
 keys are ignored.  A missing key, a value of the wrong type or a
 non-object raises ValueError naming the key and any list index.
 from_partial first merges the object, recursively, over the defaults'
-to_jsonable(), so there a missing key takes its default.
+to_jsonable(), so there a missing key takes its default; it reads a
+hand-written file, so there an unknown key, nested sections included,
+raises ValueError naming its dotted path.
 
 On the command line, add_flags gives an argparse parser one flag per field,
 in field order: the JSON key with dashes unless the metadata {"flag": ...}
 spells it, typed by its annotation, limited to the metadata {"choices": ...}
 if given, and defaulted by the field, so a flag's default is the dataclass's
-own.
-from_args builds the config back from the parsed namespace.
+own.  A field whose metadata is {"flag": None} gets no flag.
+from_args builds the config back from the parsed namespace; a field without
+a flag takes its default.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class JsonConfig:
 
     @classmethod
     def from_partial(cls, obj):
-        return cls.from_jsonable(_merge(cls().to_jsonable(), obj))
+        return _load(cls, _merge(cls().to_jsonable(), obj), cls.__name__, strict=True)
 
     @classmethod
     def add_flags(cls, parser) -> None:
@@ -50,7 +53,7 @@ class JsonConfig:
         key with dashes, and limited to its metadata's "choices" if it has any.  A
         metavar spells the flag it follows ("--t T", not "--t T_LEN")."""
         hints = typing.get_type_hints(cls)
-        for f in fields(cls):
+        for f in _flagged(cls):
             flag = f.metadata.get("flag", "--" + f.metadata.get("key", f.name).replace("_", "-"))
             if "choices" in f.metadata:
                 kwargs = {"choices": f.metadata["choices"]}
@@ -60,7 +63,11 @@ class JsonConfig:
 
     @classmethod
     def from_args(cls, args):
-        return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+        return cls(**{f.name: getattr(args, f.name) for f in _flagged(cls)})
+
+
+def _flagged(cls) -> list:
+    return [f for f in fields(cls) if f.metadata.get("flag", "") is not None]
 
 
 def _merge(default, value):
@@ -74,7 +81,7 @@ def _wrong(where: str, key: str | None, expected: str, value) -> ValueError:
     return ValueError(f"{where}: expected {expected}{named}, got {type(value).__name__}")
 
 
-def _load(tp, value, where: str, key: str | None = None):
+def _load(tp, value, where: str, key: str | None = None, strict: bool = False):
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
         if value is None and type(None) in typing.get_args(tp):
             return None
@@ -83,18 +90,21 @@ def _load(tp, value, where: str, key: str | None = None):
         if not isinstance(value, dict):
             raise _wrong(where, key, "an object", value)
         hints = typing.get_type_hints(tp)
+        names = {f.metadata.get("key", f.name): f for f in fields(tp)}
+        for name in value if strict else ():
+            if name not in names:
+                raise ValueError(f"{where}.{name}: unknown key")
         kwargs = {}
-        for f in fields(tp):
-            name = f.metadata.get("key", f.name)
+        for name, f in names.items():
             if name not in value:
                 raise ValueError(f"{where}: missing key {name!r}")
-            kwargs[f.name] = _load(hints[f.name], value[name], f"{where}.{name}", name)
+            kwargs[f.name] = _load(hints[f.name], value[name], f"{where}.{name}", name, strict)
         return tp(**kwargs)
     if typing.get_origin(tp) is tuple:
         if type(value) is not list:
             raise _wrong(where, key, "a list", value)
         entry = typing.get_args(tp)[0]
-        return tuple(_load(entry, v, f"{where}[{i}]", key) for i, v in enumerate(value))
+        return tuple(_load(entry, v, f"{where}[{i}]", key, strict) for i, v in enumerate(value))
     if tp is float and type(value) is int:
         return float(value)
     if type(value) is not tp:

@@ -31,7 +31,9 @@ def _check_probabilities(output: np.ndarray) -> None:
 def check_binary(target: np.ndarray, what: str = "target") -> None:
     vals = np.unique(np.asarray(target))
     if not np.all(np.isin(vals, (0, 1))):
-        raise ValueError(f"{what} must be binary, found values {vals[:8]}")
+        ## spelt out, since numpy's repr of the array may wrap onto a second line
+        shown = " ".join(f"{v:g}" for v in vals[:8])
+        raise ValueError(f"{what} must be binary, found values [{shown}]")
 
 
 def jaccard_loss(output: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

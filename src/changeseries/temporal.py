@@ -33,7 +33,7 @@ pixels of the whole array (TemporalRefiner._forward_tiles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,9 @@ TILE_HIDDEN_BYTES = 1 << 20
 @dataclass(frozen=True)
 class TemporalConfig(JsonConfig):
     heads: int = 2
-    layers: int = 2
-    ff_mult: int = 4
-    use_position_codes: bool = True
+    layers: int = field(default=2, metadata={"flag": "--attn-layers"})
+    ff_mult: int = field(default=4, metadata={"flag": None})
+    use_position_codes: bool = field(default=True, metadata={"flag": None})
 
     def __post_init__(self):
         if self.heads < 1 or self.layers < 1 or self.ff_mult < 1:

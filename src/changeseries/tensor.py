@@ -94,10 +94,10 @@ def _decode_raster(blob: bytes, start: int, what: str) -> tuple[np.ndarray, int]
             f"but {len(blob) - start} remain"
         )
     flat = np.frombuffer(blob, dtype="<f4", offset=data_start, count=count)
-    out = flat.astype(np.float64).reshape(extents)
-    if not np.all(np.isfinite(out)):
+    ## checked before the cast, which warns on a signalling NaN
+    if not np.all(np.isfinite(flat)):
         raise RasterFormatError(f"{what}: payload contains non-finite values")
-    return out, end
+    return flat.astype(np.float64).reshape(extents), end
 
 
 def write_raster(path: str, tensor: np.ndarray) -> None:

@@ -26,6 +26,8 @@ def pack(header, body: bytes) -> bytes:
 A = np.arange(6.0).reshape(2, 3)
 B = np.array([0.5, -1.0, 2.0, 4.0])
 REC_A, REC_B = rts1(A), rts1(B)
+## float32 bits: 0.5, a signalling NaN (0x7F800001), 2.0, 4.0
+SNAN = np.array([0x3F000000, 0x7F800001, 0x40000000, 0x40800000], dtype="<u4").view("<f4")
 META = {"model": ModelConfig().to_jsonable()}
 
 
@@ -43,6 +45,7 @@ CHECKPOINTS = {
     "nan_payload": pack(
         {"meta": META, "index": index()}, REC_A + rts1([0.5, np.nan, 2.0, 4.0])
     ),
+    "signalling_nan_payload": pack({"meta": META, "index": index()}, REC_A + rts1(SNAN)),
     "trailing_bytes": GOOD + b"\x00" * 4,
     "truncated_record": GOOD[:-4],
     "truncated_header": GOOD[:12],

@@ -12,7 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from malformed import CHECKPOINTS, META, MODEL_CONFIGS, pack
+from malformed import CHECKPOINTS, META, MODEL_CONFIGS, SNAN, pack, rts1
 
 from changeseries import cli
 from changeseries.backbone import load_checkpoint, save_checkpoint
@@ -228,6 +228,8 @@ INFER_CASES = {
 }
 
 
+## a warning, such as numpy's on casting a signalling NaN, would print a line before error:
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(INFER_CASES))
 def test_infer_malformed_checkpoint_fails_cleanly(tmp_path, clean_scene_dir, capsys, case):
     ckpt = tmp_path / "bad.ckpt"
@@ -644,6 +646,34 @@ def test_probability_rasters_outside_unit_interval_are_refused(tmp_path, noisy_s
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_raster_with_a_signalling_nan_fails_on_one_line(tmp_path, capsys):
+    ## casting the payload to float64 used to warn before the error line
+    bad = tmp_path / "snan.rts"
+    bad.write_bytes(rts1(SNAN.reshape(1, 2, 2)))
+    out = tmp_path / "run"
+    assert run_cli(["integrate", "--seg-probs", bad, "--mode", "degenerate", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "snan.rts" in err and "non-finite" in err
+    assert not out.exists()
+
+
+def test_non_binary_values_fail_on_one_line(tmp_path, clean_scene_dir, capsys):
+    ## numpy's repr of eight such values used to wrap onto a second line
+    labels = tmp_path / "labels.rts"
+    write_raster(labels, np.array([0.12345679, 0.2222222, 0.3333333, 0.4444444,
+                                   0.5555555, 0.6666666, 0.7777777, 0.88888888]).reshape(2, 2, 2))
+    out = tmp_path / "rep"
+    argv = ["eval", "--pred-states", os.path.join(clean_scene_dir, "seg_labels.rts"),
+            "--labels", labels, "--out", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "labels.rts" in err and "found values [0.123457 0.222222" in err
+    assert not out.exists()
+
+
 def _short_change_rows(tmp, scene):
     write_raster(tmp / "ch.rts", read_raster(os.path.join(scene, "ch_probs.rts"))[:2])
     return tmp / "ch.rts", os.path.join(scene, "manifest.json")
@@ -889,7 +919,43 @@ def test_ablate_checkpoint_mode(tmp_path, train_run_dir, capsys):
     assert {r["mode"] for r in rows} == {"degenerate", "adjacent"}
 
 
+## (seg sigma, mode) -> mean bitemporal F1 over scenes 0 and 1 at T=3, 16x16, ch sigma 0.25:
+## the figures the fusion sweep script gave before ablate took over its grid
+CORRUPTED_TRUTH_F1 = {
+    (0.15, "degenerate"): 1.0,
+    (0.15, "adjacent"): 1.0,
+    (0.15, "dense"): 1.0,
+    (0.30, "degenerate"): 0.6341463414634146,
+    (0.30, "adjacent"): 0.9498257839721254,
+    (0.30, "dense"): 1.0,
+    (0.45, "degenerate"): 0.46969328140214217,
+    (0.45, "adjacent"): 0.7638917579012601,
+    (0.45, "dense"): 0.934640522875817,
+}
+
+
+def test_ablate_corrupted_truth(tmp_path, capsys):
+    config = {
+        "scenes": {"spec": {"height": 16, "width": 16}, "val_seeds": [0, 1]},
+        "grid": {"t": [3], "mti_modes": ["degenerate", "adjacent", "dense"]},
+        "corrupt": {"seg_sigma": [0.15, 0.30, 0.45], "ch_sigma": 0.25},
+    }
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "ablate"
+    assert run_cli(["ablate", "--config", cfg_path, "--out", out]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {(r["seg_sigma"], r["mode"]): r["bitemporal_f1"] for r in rows} == CORRUPTED_TRUTH_F1
+    assert len(rows) == 9
+    for row in rows:
+        assert row["t"] == 3 and row["ch_sigma"] == 0.25
+        assert {f"{task}_{m}" for task in cli.TASKS for m in ("f1", "iou")} <= set(row)
+    with open(out / "table.csv", encoding="utf-8", newline="") as fh:
+        assert next(csv.reader(fh))[:4] == ["t", "seg_sigma", "ch_sigma", "mode"]
+
+
 SCENE_DIRS = {"train_dirs": ["SCENE"], "val_dirs": ["SCENE"]}
+CORRUPT = {"seg_sigma": [0.3], "ch_sigma": 0.25}
 
 ## name -> (sections replacing the valid config's, text the error must name)
 ABLATE_CONFIGS = {
@@ -941,6 +1007,28 @@ ABLATE_CONFIGS = {
                                              "val_seeds": []}},
         "no validation scene",
     ),
+    ## a misspelt key used to be ignored, so "corupt" ran a full training grid
+    "unknown_key": ({"corupt": CORRUPT}, "AblateConfig.corupt: unknown key"),
+    "unknown_nested_key": (
+        {"grid": {"mti_mode": ["dense"]}}, "AblateConfig.grid.mti_mode: unknown key"
+    ),
+    "unknown_corrupt_key": (
+        {"corrupt": dict(CORRUPT, ch_sigmas=0.25)}, "AblateConfig.corrupt.ch_sigmas: unknown key"
+    ),
+    "corrupt_and_checkpoint": (
+        {"checkpoint": "TRAINED", "corrupt": CORRUPT}, "checkpoint and corrupt exclude each other"
+    ),
+    "corrupt_and_missing_checkpoint": (
+        {"checkpoint": "missing.ckpt", "corrupt": CORRUPT},
+        "checkpoint and corrupt exclude each other",
+    ),
+    "corrupt_no_ch_sigma": ({"corrupt": {"seg_sigma": [0.3]}}, "missing key 'ch_sigma'"),
+    "corrupt_negative_sigma": (
+        {"corrupt": dict(CORRUPT, seg_sigma=[0.3, -0.1])}, "corruption sigmas must be >= 0"
+    ),
+    "corrupt_t_too_short": (
+        {"grid": {"t": [3, 1]}, "corrupt": CORRUPT}, "a scene needs at least 2 timestamps"
+    ),
 }
 
 
@@ -970,6 +1058,56 @@ def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_ru
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert text in err
     assert not out.exists()
+
+
+TRAIN_HELP = """\
+usage: changeseries train [-h] --scenes SCENES [SCENES ...] --val-scenes
+                          VAL_SCENES [VAL_SCENES ...] [--lr LR]
+                          [--weight-decay WEIGHT_DECAY]
+                          [--batch-size BATCH_SIZE] [--max-epochs MAX_EPOCHS]
+                          [--steps-per-epoch STEPS_PER_EPOCH]
+                          [--patience PATIENCE] [--patch-size PATCH_SIZE]
+                          [--candidate-crops CANDIDATE_CROPS]
+                          [--base-prob BASE_PROB] [--t-train T_TRAIN]
+                          [--edge-kind {adjacent,cyclic,dense}] [--seed SEED]
+                          [--scales SCALES] [--base-width BASE_WIDTH]
+                          [--heads HEADS] [--attn-layers ATTN_LAYERS]
+                          [--no-batchnorm] [--tfr | --no-tfr] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --scenes SCENES [SCENES ...]
+  --val-scenes VAL_SCENES [VAL_SCENES ...]
+  --lr LR
+  --weight-decay WEIGHT_DECAY
+  --batch-size BATCH_SIZE
+  --max-epochs MAX_EPOCHS
+  --steps-per-epoch STEPS_PER_EPOCH
+  --patience PATIENCE
+  --patch-size PATCH_SIZE
+  --candidate-crops CANDIDATE_CROPS
+  --base-prob BASE_PROB
+  --t-train T_TRAIN
+  --edge-kind {adjacent,cyclic,dense}
+  --seed SEED
+  --scales SCALES
+  --base-width BASE_WIDTH
+  --heads HEADS
+  --attn-layers ATTN_LAYERS
+  --no-batchnorm
+  --tfr
+  --no-tfr
+  --out OUT
+"""
+
+
+def test_train_help_is_pinned(monkeypatch, capsys):
+    ## the model flags come from BackboneConfig and TemporalConfig; the text must not move
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["train", "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == TRAIN_HELP
 
 
 def test_version_flag(capsys):

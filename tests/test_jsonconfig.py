@@ -1,12 +1,14 @@
-"""The JSON and command-line round trip shared by ModelConfig, TrainConfig and SceneSpec."""
+"""The JSON and command-line round trip shared by the config dataclasses."""
 
 import argparse
 
 import pytest
 from malformed import MODEL_CONFIGS
 
+from changeseries.backbone import BackboneConfig
 from changeseries.model import ModelConfig
 from changeseries.synthgen import SceneSpec
+from changeseries.temporal import TemporalConfig
 from changeseries.trainer import TrainConfig
 
 SPEC = SceneSpec().to_jsonable()
@@ -58,9 +60,23 @@ def test_unknown_keys_ignored_and_ints_taken_as_floats():
     assert ModelConfig.from_jsonable(ModelConfig(temporal=None).to_jsonable()).temporal is None
 
 
+def test_partial_objects_refuse_unknown_keys():
+    ## from_partial reads hand-written grid files, where a misspelt key must not pass unseen
+    assert ModelConfig.from_partial({"backbone": {"scales": 4}}).backbone.scales == 4
+    with pytest.raises(ValueError, match=r"^ModelConfig\.backbone\.scale: unknown key$"):
+        ModelConfig.from_partial({"backbone": {"scale": 4}})
+    with pytest.raises(ValueError, match=r"^ModelConfig\.temporal\.layer: unknown key$"):
+        ModelConfig.from_partial({"temporal": {"heads": 2, "layers": 2, "ff_mult": 4,
+                                               "use_position_codes": True, "layer": 3}})
+    with pytest.raises(ValueError, match=r"^ModelConfig\.sed: unknown key$"):
+        ModelConfig.from_partial({"sed": 1})
+
+
 @pytest.mark.parametrize("cfg", [
     SceneSpec(seed=3, t_len=6, n_buildings=2, noise_sigma=0.125),
     TrainConfig(lr=0.5, batch_size=2, edge_kind="cyclic"),
+    BackboneConfig(scales=4, base_width=6),
+    TemporalConfig(heads=4, layers=3),
 ])
 def test_command_line_round_trip(cfg):
     parser = argparse.ArgumentParser()

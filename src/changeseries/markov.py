@@ -11,7 +11,10 @@ one worker splits its tiles between the cores (cores.run).  A tile is as
 large as TILE_BYTES of log tables allows, so each numpy call covers
 thousands of pixels: the chain sweep and the whole-column scores are
 plain ufunc passes (adds, comparisons, np.maximum, np.where on boolean
-states), not fancy indexing.  Probabilities must be finite in every mode.
+states), not fancy indexing, and the general decoder gathers its pixel
+columns row by row (np.take).  A dense raster is cut into at least one
+tile per worker, even where one tile would hold it, so its enumeration
+runs on every core.  Probabilities must be finite in every mode.
 
 Two exact decoders:
 
@@ -252,7 +255,7 @@ def _assignment_features(start: int, stop: int, t_len: int, tt, kk) -> np.ndarra
     """
     a = np.arange(start, stop, dtype=np.int64)
     x = ((a[:, None] >> (t_len - 1 - np.arange(t_len))) & 1).astype(np.float64)
-    return np.concatenate([x, x[:, tt] * x[:, kk]], axis=1)
+    return np.concatenate([x, np.take(x, tt, axis=1) * np.take(x, kk, axis=1)], axis=1)
 
 
 def _block_bounds(node: np.ndarray, edge: np.ndarray, pairs, n_fixed: int):
@@ -368,7 +371,10 @@ def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
         feats = _assignment_features(a_lo, a_lo + a_blk, t_len, tt, kk)
         for p_lo in range(0, len(live), p_blk):
             block = live[p_lo : p_lo + p_blk]
-            score = feats @ coef[:, block]
+            ## gathered with np.take, which copies row by row into C order:
+            ## coef[:, block] builds an F-ordered copy whose inner loop reads
+            ## one value from each of the T + N rows, a tile's width apart
+            score = feats @ np.take(coef, block, axis=1)
             top[block] = np.maximum(top[block], score.max(axis=0))
             near = score >= top[block] - tol[block]
             ## few assignments are near any pixel's best: scan only their rows
@@ -389,16 +395,20 @@ def map_decode_general(pot: PixelPotentials) -> tuple[np.ndarray, np.ndarray]:
     return states.reshape(t_len, h, w), best.reshape(h, w)
 
 
-def _tiles(m: int, tables: int, parts: int) -> list[tuple[int, int]]:
+def _tiles(m: int, tables: int, parts: int, dense: bool) -> list[tuple[int, int]]:
     """Pixel ranges of the tiles that integrate decodes; `tables` = T + N.
 
     The fewest tiles whose log tables fit in TILE_BYTES, their sizes within
-    one pixel of each other.  A raster of more than one tile is cut into a
-    multiple of `parts` tiles (at most m), so every part decodes as many.
+    one pixel of each other.  A raster of more than one tile, or any dense
+    raster, is cut into a multiple of `parts` tiles (at most m), so every
+    part decodes as many.  A chain raster of one tile stays one: its sweep
+    is too short to pay for a second thread (cyclic T=12 at 64x64 took
+    0.8-1.3 ms in one tile and 1.2-1.9 ms in two, on two workers), while
+    a dense tile's enumeration is long enough to share.
     """
     per_tile = max(1, TILE_BYTES // (16 * tables))
     n = -(-m // per_tile)
-    if n > 1:
+    if n > 1 or dense:
         n = min(m, -(-n // parts) * parts)
     return cores.ranges(m, n)
 
@@ -446,14 +456,16 @@ def integrate(
     NaN or infinite probability it reads.  The flattened raster is decoded
     in the fewest tiles whose log tables, 16 (T + N) bytes per pixel, fit
     in TILE_BYTES, their sizes within one pixel of each other; a raster of
-    more than one tile is cut into a multiple of the parts, so each thread
-    decodes as many.  With workers > 1 the decode runs inside
-    cores.threaded(), OpenBLAS held at one thread, and cores.run splits
-    the tiles between at most `workers` threads, never more than the tiles
-    or cores.workers(); the calling thread decodes a share.  Each tile's
-    probabilities are checked and its log tables built just before it is
-    decoded, so each thread holds one tile's tables at a time.  Pixels are
-    independent, so results are identical for every worker count.
+    more than one tile, or a dense raster of any size, is cut into a
+    multiple of the parts, so each thread decodes as many, while a chain
+    raster of one tile stays one (_tiles).  With workers > 1 the decode
+    runs inside cores.threaded(), OpenBLAS held at one thread, and
+    cores.run splits the tiles between at most `workers` threads, never
+    more than the tiles or cores.workers(); the calling thread decodes a
+    share.  Each tile's probabilities are checked and its log tables built
+    just before it is decoded, so each thread holds one tile's tables at a
+    time.  Pixels are independent, so results are identical for every
+    worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
@@ -499,7 +511,7 @@ def integrate(
 
     ## BLAS is held whenever workers may share the cores, even for one tile
     with cores.threaded() if workers > 1 else contextlib.nullcontext():
-        tiles = _tiles(m, t_len + len(wanted), min(workers, cores.splitting()))
+        tiles = _tiles(m, t_len + len(wanted), min(workers, cores.splitting()), mode == "dense")
         cores.run(run, len(tiles), workers)
     return MapSeries(
         states=states.reshape(t_len, h, w),

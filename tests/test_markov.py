@@ -476,7 +476,8 @@ def test_integrate_nan_in_last_tile_raises(monkeypatch, table):
         for mode in modes:
             if mode != "degenerate":
                 tables = tile_budget(monkeypatch, 4096, 4, mode)
-                assert markov._tiles(67 * 67, tables, 2) == [(0, 2244), (2244, 4489)]
+                tiles = markov._tiles(67 * 67, tables, 2, mode == "dense")
+                assert tiles == [(0, 2244), (2244, 4489)]
             for workers in (1, 2):
                 raised_on_main.clear()
                 with pytest.raises(ValueError, match="finite"):
@@ -511,7 +512,7 @@ def test_integrate_worker_counts_agree(monkeypatch):
         t_len, h, w = seg.shape
         for mode in ("dense", "cyclic", "adjacent"):
             tables = tile_budget(monkeypatch, tile_pixels, t_len, mode)
-            assert markov._tiles(h * w, tables, 1) == one_part_tiles
+            assert markov._tiles(h * w, tables, 1, mode == "dense") == one_part_tiles
             base = integrate(seg, ch, edges, mode, workers=1)
             for workers in (2, 3, 7, 64):
                 other = integrate(seg, ch, edges, mode, workers=workers)
@@ -528,7 +529,8 @@ def test_integrate_worker_counts_agree(monkeypatch):
 @pytest.mark.skipif(cores._blas_handle() is None, reason="OpenBLAS thread count cannot be set")
 def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
     ## BLAS is held exactly when workers > 1, for one tile as for two, and
-    ## states and scores are the same at 1, 2 and 3 workers
+    ## states and scores are the same at 1, 2 and 3 workers; a dense raster
+    ## of one budget tile is cut into one tile per part, a chain one is not
     monkeypatch.setattr(cores, "WORKERS", 3)
     pinned = []
     for name in ("map_decode_general", "map_decode_chain"):
@@ -548,7 +550,10 @@ def test_integrate_workers_run_with_blas_at_one_thread(monkeypatch):
             for workers in (1, 2, 3):
                 pinned.clear()
                 series = integrate(seg, ch, edges, mode, workers=workers)
-                assert len(pinned) == (1 if side == 20 else 3 if workers == 3 else 2)
+                if side == 20:
+                    assert len(pinned) == (workers if mode == "dense" else 1)
+                else:
+                    assert len(pinned) == (3 if workers == 3 else 2)
                 assert all(bool(p) == (workers > 1) for p in pinned)
                 if base is None:
                     base = series
@@ -604,18 +609,68 @@ def test_integrate_parts_never_exceed_workers_or_tiles(monkeypatch):
 
 def test_tiles_fit_the_byte_budget_and_split_evenly(monkeypatch):
     monkeypatch.setattr(markov, "TILE_BYTES", 1000 * 16 * 7)
-    for m in (0, 1, 999, 1000, 1001, 4489, 10_000):
-        for parts in (1, 2, 3, 4):
-            tiles = markov._tiles(m, 7, parts)
-            sizes = [hi - lo for lo, hi in tiles]
-            assert [i for lo, hi in tiles for i in range(lo, hi)] == list(range(m))
-            assert all(0 < n <= 1000 for n in sizes)
-            assert max(sizes, default=0) - min(sizes, default=0) <= 1
-            ## one tile stays one; more are a multiple of the parts
-            fewest = -(-m // 1000)
-            assert len(tiles) == (fewest if fewest <= 1 else -(-fewest // parts) * parts)
-    ## never more tiles than pixels
-    assert markov._tiles(3, 7 * 1000, 2) == [(0, 1), (1, 2), (2, 3)]
+    for dense, m, parts in itertools.product(
+        (False, True), (0, 1, 999, 1000, 1001, 4489, 10_000), (1, 2, 3, 4)
+    ):
+        tiles = markov._tiles(m, 7, parts, dense)
+        sizes = [hi - lo for lo, hi in tiles]
+        assert [i for lo, hi in tiles for i in range(lo, hi)] == list(range(m))
+        assert all(0 < n <= 1000 for n in sizes)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        ## more tiles than one are a multiple of the parts, at most m;
+        ## a chain raster of one tile stays one, a dense one is cut too
+        fewest = -(-m // 1000)
+        if fewest <= 1 and not dense:
+            assert len(tiles) == fewest
+        else:
+            assert len(tiles) == min(m, -(-fewest // parts) * parts)
+    for dense in (False, True):
+        ## never more tiles than pixels
+        assert markov._tiles(3, 7 * 1000, 2, dense) == [(0, 1), (1, 2), (2, 3)]
+        assert markov._tiles(1, 7, 2, dense) == [(0, 1)]
+
+
+@pytest.mark.skipif(cores._blas_handle() is None, reason="OpenBLAS thread count cannot be set")
+def test_dense_raster_of_one_tile_decodes_on_both_workers(monkeypatch):
+    ## 24 x 24 pixels of dense T=12 fit one budget tile, yet at two workers
+    ## the calling thread and a pool thread each decode half of them
+    monkeypatch.setattr(cores, "WORKERS", 2)
+    seg, ch, edges = random_instance(24, 12, "dense", h=24, w=24)
+    assert len(markov._tiles(24 * 24, 12 + len(edges), 1, True)) == 1
+    decode, threads = markov.map_decode_general, []
+
+    def spy(tile):
+        threads.append(threading.current_thread())
+        return decode(tile)
+
+    monkeypatch.setattr(markov, "map_decode_general", spy)
+    one = integrate(seg, ch, edges, "dense", workers=1)
+    assert threads == [threading.current_thread()]
+    threads.clear()
+    two = integrate(seg, ch, edges, "dense", workers=2)
+    assert len(threads) == 2 and len(set(threads)) == 2
+    assert threading.current_thread() in threads
+    assert np.array_equal(one.states, two.states)
+    assert np.array_equal(one.map_score.view(np.uint64), two.map_score.view(np.uint64))
+
+
+def test_assignment_features_bit_layout_at_the_cap():
+    ## T=20, dense pairs: row a holds bit T-1-t of a at column t, then
+    ## x_t * x_k per pair, C-ordered float64
+    edges = build_edge_set("dense", T_MAX)
+    tt = np.array([t for t, _ in edges.index_pairs], dtype=np.intp)
+    kk = np.array([k for _, k in edges.index_pairs], dtype=np.intp)
+    start, stop = 2**T_MAX - 700, 2**T_MAX
+    feats = markov._assignment_features(start, stop, T_MAX, tt, kk)
+    assert feats.shape == (stop - start, T_MAX + len(edges)) and feats.dtype == np.float64
+    assert feats.flags.c_contiguous
+    for row, a in zip(feats, range(start, stop)):
+        bits = [int(b) for b in format(a, f"0{T_MAX}b")]
+        assert row[:T_MAX].tolist() == bits
+        assert row[T_MAX:].tolist() == [bits[t] * bits[k] for t, k in edges.index_pairs]
+    ## ascending rows are lexicographic: the earliest timestamp is the top bit
+    low = markov._assignment_features(0, 3, T_MAX, tt, kk)
+    assert low[1, T_MAX - 1] == 1 and low[2, T_MAX - 2] == 1 and not low[:, : T_MAX - 2].any()
 
 
 def digest_instance(seed, t_len, side):

@@ -430,6 +430,9 @@ class GridConfig(JsonConfig):
     tfr: tuple[bool, ...] = (True,)
 
     def __post_init__(self):
+        for name in ("mti_modes", "t", "loss_edges", "tfr"):
+            if not getattr(self, name):
+                raise ValueError(f"grid {name} lists nothing")
         for mode in self.mti_modes:
             if mode not in MODES:
                 raise ValueError(f"unknown fusion mode {mode!r}")
@@ -470,6 +473,8 @@ class CorruptConfig(JsonConfig):
     ch_sigma: float
 
     def __post_init__(self):
+        if not self.seg_sigma:
+            raise ValueError("corrupt seg_sigma lists nothing")
         if any(sigma < 0 for sigma in (*self.seg_sigma, self.ch_sigma)):
             raise ValueError("corruption sigmas must be >= 0")
 
@@ -563,8 +568,15 @@ def _cmd_ablate(args) -> int:
 
     if cfg.corrupt is not None:
         ch_sigma = cfg.corrupt.ch_sigma
+        stored = cfg.scenes.load("val") if cfg.scenes.from_dirs else None
+        if stored:
+            lengths = sorted({scene.t_len for scene in stored})
+            differs = [t for t in cfg.grid.t if lengths != [t]]
+            if differs:
+                raise CliError(f"grid t {differs} differs from the stored validation series, "
+                               f"{', '.join(map(str, lengths))} timestamps")
         for t_len in cfg.grid.t:
-            val_scenes = cfg.scenes.load("val", t_len)
+            val_scenes = stored or cfg.scenes.load("val", t_len)
             for sigma in cfg.corrupt.seg_sigma:
                 def probs(scene, edges):
                     seg, ch = corrupt_to_probabilities(scene, sigma, ch_sigma, scene.spec.seed + 1)

@@ -193,7 +193,7 @@ def evaluate(
     return _report(task, pairs)
 
 
-def threshold_probs(probs: np.ndarray, level: float = 0.5) -> np.ndarray:
-    """Strict threshold: 1 where p > level, else 0."""
-    return (np.asarray(probs) > level).astype(np.uint8)
+def threshold_probs(probs: np.ndarray) -> np.ndarray:
+    """Strict threshold: 1 where p > 0.5, else 0."""
+    return (np.asarray(probs) > 0.5).astype(np.uint8)
 

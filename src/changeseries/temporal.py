@@ -22,12 +22,12 @@ from one ff1 GEMM and ReLU (TransformerEncoderLayer._hidden), and
 attention's context from its weights and V (MultiHeadSelfAttention.
 _context).  Every layer drops its cache once backward has read it.
 
-A forward with keep=False runs the encoder layers on tiles of a few
-hundred pixels, about TILE_HIDDEN_BYTES of FFN hidden layer each, so a
-tile's activations stay in cache instead of streaming a hidden layer of
-tens of MB through memory; inside cores.threaded() the tiles are shared
-out evenly between the workers.  Each tile is bitwise equal to the same
-pixels of the whole array (TemporalRefiner._forward_tiles).
+The refiner runs its encoder layers over pixel tiles, a training forward
+over the one tile of all pixels.  A forward with keep=False runs tiles of
+a few hundred pixels, about TILE_HIDDEN_BYTES of FFN hidden layer each,
+so a tile's activations stay in cache instead of streaming a hidden layer
+of tens of MB through memory; inside cores.threaded() the tiles are
+shared out evenly between the workers (TemporalRefiner.forward).
 """
 
 from __future__ import annotations
@@ -214,44 +214,42 @@ class TemporalRefiner(Layer):
             setattr(self, f"layer{i}", block)
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        t, d, h, w = x.shape
-        if d != self.dim:
-            raise ValueError(f"refiner built for width {self.dim}, got {d}")
-        seq = x.reshape(t, d, h * w)
-        code = temporal_encoding(t, d)[:, :, None] if self.cfg.use_position_codes else None
-        if keep:
-            if code is not None:
-                seq = seq + code
-            for block in self.blocks:
-                seq = block.forward(seq, keep=True)
-            return seq.reshape(t, d, h, w)
-        return self._forward_tiles(seq, code).reshape(t, d, h, w)
-
-    def _forward_tiles(self, seq: np.ndarray, code: np.ndarray | None) -> np.ndarray:
-        """The keep=False forward, TILE_HIDDEN_BYTES of FFN hidden layer at a time.
+        """The encoder layers on pixel tiles, one of all P pixels if keep is set.
 
         Every operation of an encoder layer acts on each pixel alone, so a
         contiguous copy of a few pixels' tokens runs the same arithmetic as
         the whole (T, D, P) array and its output is bitwise equal.  Tiles
         differ in size by at most one pixel, and a tile of two pixels or
         more keeps the pixel axis innermost in every reduction, as in the
-        whole array; they are split between the workers (cores.run).
+        whole array.  A training forward returns its one tile as it is; other
+        tiles are split between the workers (cores.run) into one output.
         """
-        t, d, p = seq.shape
+        t, d, h, w = x.shape
+        if d != self.dim:
+            raise ValueError(f"refiner built for width {self.dim}, got {d}")
+        p = h * w
+        seq = x.reshape(t, d, p)
+        code = temporal_encoding(t, d)[:, :, None] if self.cfg.use_position_codes else None
+
+        def tile(lo: int, hi: int) -> np.ndarray:
+            y = seq[:, :, lo:hi]
+            y = y + code if code is not None else np.ascontiguousarray(y)
+            for block in self.blocks:
+                y = block.forward(y, keep=keep)
+            return y
+
+        if keep:
+            return tile(0, p).reshape(t, d, h, w)
         per_tile = max(2, TILE_HIDDEN_BYTES // (t * self.cfg.ff_mult * d * 8))
         bounds = cores.ranges(p, max(1, p // per_tile))
         out = np.empty((t, d, p))
 
         def run(i0: int, i1: int) -> None:
             for lo, hi in bounds[i0:i1]:
-                tile = seq[:, :, lo:hi]
-                tile = tile + code if code is not None else tile.copy()
-                for block in self.blocks:
-                    tile = block.forward(tile, keep=False)
-                out[:, :, lo:hi] = tile
+                out[:, :, lo:hi] = tile(lo, hi)
 
         cores.run(run, len(bounds), cores.splitting())
-        return out
+        return out.reshape(t, d, h, w)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         t, d, h, w = dy.shape

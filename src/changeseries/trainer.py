@@ -10,7 +10,6 @@ runs bit for bit.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,11 +60,17 @@ class TrainConfig(JsonConfig):
 
 @dataclass
 class Sample:
+    """A training patch; its change labels derive from seg, each time they are read."""
+
     images: np.ndarray  # (T', C, P, P)
     seg: np.ndarray  # (T', P, P)
-    changes: np.ndarray  # (N, P, P)
     edges: EdgeSet  # over the T'-length sub-series
     timestamps: tuple  # original 1-based timestamps selected
+
+    @property
+    def changes(self) -> np.ndarray:
+        """(N, P, P) XOR of seg over each edge; it commutes with rotations and flips."""
+        return XorChanges(self.seg).stack(self.edges)
 
 
 def series_change_fraction(seg_labels: np.ndarray) -> np.ndarray:
@@ -126,11 +131,9 @@ def sample_patch(scene: Scene, cfg: TrainConfig, rng: SeededRng) -> Sample:
     rows = [t - 1 for t in stamps]
     edges = build_edge_set(cfg.edge_kind, len(stamps))
     sl_y, sl_x = slice(y0, y0 + patch), slice(x0, x0 + patch)
-    seg = scene.seg_labels[rows][:, sl_y, sl_x].copy()
     return Sample(
         images=scene.images[rows][:, :, sl_y, sl_x].copy(),
-        seg=seg,
-        changes=XorChanges(seg).stack(edges),
+        seg=scene.seg_labels[rows][:, sl_y, sl_x].copy(),
         edges=edges,
         timestamps=stamps,
     )
@@ -150,16 +153,12 @@ def apply_geometric(arrays, quarter_turns: int, flip_h: bool, flip_v: bool):
 
 
 def augment(sample: Sample, rng: SeededRng) -> Sample:
-    """One shared geometric transform for images and every label map."""
+    """One shared geometric transform for images and segmentation labels."""
     k = rng.randint(4)
     flip_h = rng.uniform() < 0.5
     flip_v = rng.uniform() < 0.5
-    images, seg, changes = apply_geometric(
-        [sample.images, sample.seg, sample.changes], k, flip_h, flip_v
-    )
-    return Sample(
-        images=images, seg=seg, changes=changes, edges=sample.edges, timestamps=sample.timestamps
-    )
+    images, seg = apply_geometric([sample.images, sample.seg], k, flip_h, flip_v)
+    return Sample(images=images, seg=seg, edges=sample.edges, timestamps=sample.timestamps)
 
 
 class AdamW:
@@ -248,7 +247,6 @@ def train(
     history = []
     best_val = np.inf
     best_epoch = -1
-    best_params = model.param_values()
     since_best = 0
 
     for epoch in range(cfg.max_epochs):
@@ -283,6 +281,7 @@ def train(
         if not np.isfinite(val):
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}")
         history.append({"kind": "epoch", "epoch": epoch, "lr": lr, "val_loss": val})
+        ## epoch 0 always sets best_params: a finite val is below inf
         if val < best_val:
             best_val = val
             best_epoch = epoch
@@ -296,7 +295,7 @@ def train(
     model.load_param_values(best_params)
     return TrainResult(
         model=model,
-        best_params=copy.deepcopy(best_params),
+        best_params=best_params,
         best_val_loss=float(best_val),
         best_epoch=best_epoch,
         history=history,

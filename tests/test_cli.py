@@ -1029,6 +1029,19 @@ ABLATE_CONFIGS = {
     "corrupt_t_too_short": (
         {"grid": {"t": [3, 1]}, "corrupt": CORRUPT}, "a scene needs at least 2 timestamps"
     ),
+    ## stored scenes are evaluated as stored: a row of another t would repeat them
+    "corrupt_t_differs_from_scene_dirs": (
+        {"grid": {"t": [3, 4]}, "scenes": SCENE_DIRS, "corrupt": CORRUPT},
+        "grid t [4] differs from the stored validation series, 3 timestamps",
+    ),
+    ## an empty list used to exit 0 with an empty table
+    "t_empty": ({"grid": {"t": []}}, "grid t lists nothing"),
+    "modes_empty": ({"grid": {"mti_modes": []}}, "grid mti_modes lists nothing"),
+    "loss_edges_empty": ({"grid": {"loss_edges": []}}, "grid loss_edges lists nothing"),
+    "tfr_empty": ({"grid": {"tfr": []}}, "grid tfr lists nothing"),
+    "corrupt_seg_sigma_empty": (
+        {"corrupt": dict(CORRUPT, seg_sigma=[])}, "corrupt seg_sigma lists nothing"
+    ),
 }
 
 
@@ -1058,6 +1071,16 @@ def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_ru
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     assert text in err
     assert not out.exists()
+
+
+def test_ablate_corrupted_scene_dirs_report_their_length(tmp_path, capsys, clean_scene_dir):
+    config = {"scenes": {"val_dirs": [clean_scene_dir]}, "grid": {"t": [3]}, "corrupt": CORRUPT}
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["ablate", "--config", cfg_path, "--out", tmp_path / "ablate"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["mode"] for r in rows] == ["degenerate", "dense"]
+    assert all(r["t"] == 3 for r in rows)
 
 
 TRAIN_HELP = """\

@@ -171,6 +171,43 @@ def test_encoder_layer_backward_equals_the_sublayer_chain(t_len):
         assert np.array_equal(p.grad, want[name].grad), name
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("codes", [True, False])
+@pytest.mark.parametrize("t_len", [2, 5])
+def test_refiner_training_forward_equals_the_block_chain(t_len, codes):
+    ## a training forward is the one tile of every pixel: it must give the
+    ## bits of each block's kept forward on the whole (T, D, P) array, and
+    ## backward those of each block's backward in reverse
+    cfg = TemporalConfig(heads=2, layers=2, use_position_codes=codes)
+    refiner, chain = (TemporalRefiner(8, cfg, SeededRng(21)) for _ in range(2))
+    draw_params(refiner, SeededRng(22))
+    draw_params(chain, SeededRng(22))
+    rng = SeededRng(23 + t_len)
+    x = centered(rng, (t_len, 8, 6, 5))
+    dy = centered(rng, x.shape)
+
+    y = refiner.forward(x, keep=True)
+    dx = refiner.backward(dy)
+
+    seq = x.reshape(t_len, 8, 30)
+    if codes:
+        seq = seq + temporal_encoding(t_len, 8)[:, :, None]
+    for block in chain.blocks:
+        seq = block.forward(seq, keep=True)
+    g = dy.reshape(t_len, 8, 30)
+    for block in reversed(chain.blocks):
+        g = block.backward(g)
+
+    assert same_bits(y, seq.reshape(x.shape))
+    assert same_bits(dx, g.reshape(x.shape))
+    want = dict(chain.params())
+    for name, p in refiner.params():
+        assert same_bits(p.grad, want[name].grad), name
+
+
 def test_encoder_layer_zero_weights_is_identity():
     rng = SeededRng(11)
     layer = TransformerEncoderLayer(4, 2, 4, rng)

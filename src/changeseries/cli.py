@@ -311,9 +311,7 @@ def _cmd_integrate(args) -> int:
             raise CliError(f"mode {args.mode!r} needs --ch-probs and --edges")
         ch_probs = _read_probs(args.ch_probs)
         available = _load_edges(args.edges, args.seg_probs, seg_probs)
-    series = integrate(
-        seg_probs, ch_probs, available, args.mode, workers=args.workers
-    )
+    series = integrate(seg_probs, ch_probs, available, args.mode)
     with run:
         write_raster(run.path("states.rts"), series.states.astype(np.float64))
         for t in range(series.t_len):
@@ -337,7 +335,6 @@ def _cmd_integrate(args) -> int:
                     "ch_probs": os.path.abspath(args.ch_probs) if args.ch_probs else None,
                     "edges": os.path.abspath(args.edges) if args.edges else None,
                     "mode": args.mode,
-                    "workers": args.workers,
                 },
                 "outputs": {
                     "states": "states.rts",
@@ -371,6 +368,9 @@ def _format_table(reports: list) -> str:
 
 def _cmd_eval(args) -> int:
     run = RunDir(args.out, "eval")
+    probs = (args.seg_probs, args.ch_probs, args.edges)
+    if (any(probs) if args.pred_states else not all(probs)):
+        raise CliError("eval needs --pred-states or else --seg-probs, --ch-probs and --edges")
     true_seg = _load_truth(args.labels)
     if args.pred_states:
         pred_path = args.pred_states
@@ -382,8 +382,6 @@ def _cmd_eval(args) -> int:
         pred_seg, pred_change = states, XorChanges(states)
         source = {"pred_states": os.path.abspath(args.pred_states)}
     else:
-        if not (args.seg_probs and args.ch_probs and args.edges):
-            raise CliError("eval needs --pred-states or (--seg-probs, --ch-probs, --edges)")
         seg_probs = _read_probs(args.seg_probs)
         ch_probs = _read_probs(args.ch_probs)
         edges = _load_edges(args.edges, args.seg_probs, seg_probs)
@@ -443,7 +441,6 @@ class ScenesConfig(JsonConfig):
     """Scene directories if any are named, else scenes generated from spec per seed."""
 
     spec: SceneSpec = field(default_factory=SceneSpec)
-    t: int | None = None
     train_seeds: tuple[int, ...] = ()
     val_seeds: tuple[int, ...] = ()
     train_dirs: tuple[str, ...] = ()
@@ -487,12 +484,7 @@ class AblateConfig(JsonConfig):
     scenes: ScenesConfig = field(default_factory=ScenesConfig)
     checkpoint: str | None = None
     corrupt: CorruptConfig | None = None
-    workers: int = 1
     seed: int = 0
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def cells(self, in_channels: int) -> dict:
         """t -> [(loss edge kind, refiner on, ModelConfig, TrainConfig)], one per grid cell."""
@@ -515,15 +507,15 @@ def load_ablate_config(path: str) -> tuple[AblateConfig, dict]:
         cfg = AblateConfig.from_partial(raw)
         if not cfg.scenes.names("val"):
             raise ValueError("scenes name no validation scene")
-        if cfg.corrupt is not None:
-            if cfg.checkpoint is not None:
-                raise ValueError("checkpoint and corrupt exclude each other")
-            for t in cfg.grid.t:
-                replace(cfg.scenes.spec, t_len=t)  # every series length checks itself
-        elif cfg.checkpoint is None:
+        if cfg.corrupt is not None and cfg.checkpoint is not None:
+            raise ValueError("checkpoint and corrupt exclude each other")
+        if cfg.corrupt is None and cfg.checkpoint is None:
             if not cfg.scenes.names("train"):
                 raise ValueError("scenes name no training scene")
             cfg.cells(cfg.model.in_channels)  # every cell's configs check themselves
+        else:
+            for t in cfg.grid.t:
+                replace(cfg.scenes.spec, t_len=t)  # every series length checks itself
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return cfg, raw
@@ -534,16 +526,17 @@ def _mode_feasible(mode: str, kind: str, t_len: int) -> bool:
     return mode == "degenerate" or have.issuperset(build_edge_set(mode, t_len).edges)
 
 
-def _ablate_eval_rows(probs, kind, modes, val_scenes, workers) -> list:
+def _ablate_eval_rows(probs, kind, modes, val_scenes) -> list:
     """One row per mode, averaged over the scenes; probs(scene, edges) gives each
-    scene's segmentation and change probabilities once."""
-    t_len = val_scenes[0].t_len
-    metrics = {mode: {} for mode in modes if _mode_feasible(mode, kind, t_len)}
+    scene's segmentation and change probabilities once.  A mode runs only if
+    kind holds its edges at every scene's length."""
+    metrics = {mode: {} for mode in modes
+               if all(_mode_feasible(mode, kind, scene.t_len) for scene in val_scenes)}
     for scene in val_scenes if metrics else ():
         edges = build_edge_set(kind, scene.t_len)
         seg_probs, ch_probs = probs(scene, edges)
         for mode, values in metrics.items():
-            series = integrate(seg_probs, ch_probs, edges, mode, workers=workers)
+            series = integrate(seg_probs, ch_probs, edges, mode)
             for task in TASKS:
                 report = evaluate(task, series.states, series, scene.seg_labels)
                 values.setdefault(f"{task}_f1", []).append(report.f1)
@@ -563,58 +556,57 @@ def _forward(model):
 def _cmd_ablate(args) -> int:
     run = RunDir(args.out, "ablate")
     cfg, raw = load_ablate_config(args.config)
-    modes, workers = cfg.grid.mti_modes, cfg.workers
-    rows = []
+    training = cfg.corrupt is None and cfg.checkpoint is None
+    stored_train = stored_val = None
+    ## stored series are used as stored: a training grid draws each grid t's
+    ## timestamps from them, the other modes evaluate the validation series whole
+    if cfg.scenes.from_dirs:
+        stored_train = cfg.scenes.load("train") if training else None
+        stored_val = cfg.scenes.load("val")
+        if training:
+            shortest = min(scene.t_len for scene in stored_train)
+            bad = [t for t in cfg.grid.t if t > shortest]
+            rule = f"exceeds the shortest training series, {shortest}"
+        else:
+            lengths = sorted({scene.t_len for scene in stored_val})
+            bad = [t for t in cfg.grid.t if lengths != [t]]
+            rule = f"differs from the stored validation series, {', '.join(map(str, lengths))}"
+        if bad:
+            raise CliError(f"grid t {bad} {rule} timestamps")
 
     if cfg.corrupt is not None:
         ch_sigma = cfg.corrupt.ch_sigma
-        stored = cfg.scenes.load("val") if cfg.scenes.from_dirs else None
-        if stored:
-            lengths = sorted({scene.t_len for scene in stored})
-            differs = [t for t in cfg.grid.t if lengths != [t]]
-            if differs:
-                raise CliError(f"grid t {differs} differs from the stored validation series, "
-                               f"{', '.join(map(str, lengths))} timestamps")
-        for t_len in cfg.grid.t:
-            val_scenes = stored or cfg.scenes.load("val", t_len)
+
+        def cells(t_len, val_scenes):
             for sigma in cfg.corrupt.seg_sigma:
                 def probs(scene, edges):
                     seg, ch = corrupt_to_probabilities(scene, sigma, ch_sigma, scene.spec.seed + 1)
                     return seg, stack_probs(ch, edges)
-                cell = {"t": t_len, "seg_sigma": sigma, "ch_sigma": ch_sigma}
-                for row in _ablate_eval_rows(probs, "dense", modes, val_scenes, workers):
-                    rows.append({**cell, **row})
+                yield {"seg_sigma": sigma, "ch_sigma": ch_sigma}, "dense", probs
     elif cfg.checkpoint is not None:
         model, train_cfg = _load_model(cfg.checkpoint)
         kind = train_cfg.edge_kind
-        t_len = train_cfg.t_train if cfg.scenes.t is None else cfg.scenes.t
-        cell = {"checkpoint": cfg.checkpoint, "edge_kind": kind}
-        val_scenes = cfg.scenes.load("val", t_len)
-        for row in _ablate_eval_rows(_forward(model), kind, modes, val_scenes, workers):
-            rows.append({**cell, **row})
+
+        def cells(t_len, val_scenes):
+            yield {"checkpoint": cfg.checkpoint, "edge_kind": kind}, kind, _forward(model)
     else:
-        stored = None
-        if cfg.scenes.from_dirs:
-            stored = cfg.scenes.load("train"), cfg.scenes.load("val")
-            shortest = min(scene.t_len for scene in stored[0])
-            too_long = [t for t in cfg.grid.t if t > shortest]
-            if too_long:
-                raise CliError(f"grid t {too_long} exceeds the shortest training series, "
-                               f"{shortest} timestamps")
-        for t_len in cfg.grid.t:
-            train_scenes, val_scenes = stored or (
-                cfg.scenes.load("train", t_len), cfg.scenes.load("val", t_len)
-            )
+        def cells(t_len, val_scenes):
+            train_scenes = stored_train or cfg.scenes.load("train", t_len)
             channels = train_scenes[0].images.shape[1]
             for kind, use_tfr, model_cfg, train_cfg in cfg.cells(channels)[t_len]:
                 result = train(train_scenes, val_scenes, model_cfg, train_cfg)
                 names = sorted(result.best_params)
-                cell = {"t": t_len, "loss_edges": kind, "tfr": use_tfr, "n_params": len(names),
+                yield ({"loss_edges": kind, "tfr": use_tfr, "n_params": len(names),
                         "attention_params": sum(n.startswith("temporal.") for n in names),
-                        "best_val_loss": result.best_val_loss}
-                for row in _ablate_eval_rows(_forward(result.model), kind, modes, val_scenes,
-                                             workers):
-                    rows.append({**cell, **row})
+                        "best_val_loss": result.best_val_loss},
+                       kind, _forward(result.model))
+
+    rows = []
+    for t_len in cfg.grid.t:
+        val_scenes = stored_val or cfg.scenes.load("val", t_len)
+        for cell, kind, probs in cells(t_len, val_scenes):
+            for row in _ablate_eval_rows(probs, kind, cfg.grid.mti_modes, val_scenes):
+                rows.append({"t": t_len, **cell, **row})
 
     columns = list(dict.fromkeys(key for row in rows for key in row))
     with run:
@@ -677,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ch-probs", default=None)
     p.add_argument("--edges", default=None, help="JSON file describing ch-probs rows")
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_integrate)
 

@@ -445,7 +445,7 @@ def integrate(
     ch_probs: np.ndarray | None,
     available: EdgeSet | None,
     mode: str,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> MapSeries:
     """Fuse probabilistic outputs into one consistent binary map series.
 
@@ -458,20 +458,22 @@ def integrate(
     in TILE_BYTES, their sizes within one pixel of each other; a raster of
     more than one tile, or a dense raster of any size, is cut into a
     multiple of the parts, so each thread decodes as many, while a chain
-    raster of one tile stays one (_tiles).  With workers > 1 the decode
-    runs inside cores.threaded(), OpenBLAS held at one thread, and
-    cores.run splits the tiles between at most `workers` threads, never
-    more than the tiles or cores.workers(); the calling thread decodes a
-    share.  Each tile's probabilities are checked and its log tables built
-    just before it is decoded, so each thread holds one tile's tables at a
-    time.  Pixels are independent, so results are identical for every
-    worker count.
+    raster of one tile stays one (_tiles).  workers defaults to
+    cores.workers(), the threads inference runs on; an int caps it.  With
+    workers > 1 the decode runs inside cores.threaded(), OpenBLAS held at
+    one thread, and cores.run splits the tiles between at most `workers`
+    threads, never more than the tiles or cores.workers(); the calling
+    thread decodes a share.  Each tile's probabilities are checked and its
+    log tables built just before it is decoded, so each thread holds one
+    tile's tables at a time.  Pixels are independent, so results are
+    identical for every worker count.
     """
     seg_probs = np.asarray(seg_probs, dtype=np.float64)
     if seg_probs.ndim != 3:
         raise ValueError("seg_probs must have shape (T, H, W)")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    workers = cores.workers() if workers is None else workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if mode == "degenerate":

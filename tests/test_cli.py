@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from malformed import CHECKPOINTS, META, MODEL_CONFIGS, SNAN, pack, rts1
 
-from changeseries import cli
+from changeseries import cli, cores
 from changeseries.backbone import load_checkpoint, save_checkpoint
 from changeseries.changefeat import build_edge_set
 from changeseries.synthgen import SceneSpec, generate
@@ -296,25 +296,31 @@ def test_integrate_degenerate_matches_threshold(tmp_path, noisy_scene_dir):
     assert read_manifest(str(out))["outputs"]["edges"] is None
 
 
-def test_integrate_dense_outputs_and_worker_invariance(tmp_path, noisy_scene_dir):
+def test_integrate_dense_outputs_and_worker_invariance(tmp_path, noisy_scene_dir,
+                                                       monkeypatch):
+    ## integrate runs on the cores the process may use, like infer
     runs = []
-    for label, workers in (("w1", 1), ("w4", 4)):
-        out = tmp_path / label
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cores, "WORKERS", workers)
+        out = tmp_path / f"w{workers}"
         argv = ["integrate",
                 "--seg-probs", os.path.join(noisy_scene_dir, "seg_probs.rts"),
                 "--ch-probs", os.path.join(noisy_scene_dir, "ch_probs.rts"),
                 "--edges", os.path.join(noisy_scene_dir, "manifest.json"),
-                "--mode", "dense", "--workers", workers, "--out", out]
+                "--mode", "dense", "--out", out]
         assert run_cli(argv) == 0
         runs.append(out)
-    a, b = runs
-    assert file_bytes(a / "states.rts") == file_bytes(b / "states.rts")
-    assert file_bytes(a / "score_summary.json") == file_bytes(b / "score_summary.json")
-    for t, k in ((1, 2), (1, 3), (2, 3)):
-        assert (a / f"change_{t}_{k}.pgm").exists()
+    a = runs[0]
+    outputs = ["states.rts", "score_summary.json",
+               *(f"states_t{t}.pgm" for t in (1, 2, 3)),
+               *(f"change_{t}_{k}.pgm" for t, k in ((1, 2), (1, 3), (2, 3)))]
+    for b in runs:
+        assert sorted(os.listdir(b)) == sorted([*outputs, "manifest.json"])
+        for name in outputs:
+            assert file_bytes(a / name) == file_bytes(b / name), name
     manifest = read_manifest(str(a))
     assert manifest["outputs"]["edges"]["kind"] == "dense"
-    assert manifest["config"]["workers"] == 1
+    assert set(manifest["config"]) == {"seg_probs", "ch_probs", "edges", "mode"}
 
 
 def test_integrate_dense_requires_change_inputs(tmp_path, noisy_scene_dir, capsys):
@@ -400,6 +406,18 @@ def test_eval_requires_a_prediction_source(tmp_path, clean_scene_dir, capsys):
     out = tmp_path / "rep"
     assert run_cli(["eval", "--labels", clean_scene_dir, "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--seg-probs"], ["--seg-probs", "--ch-probs", "--edges"]])
+def test_eval_refuses_states_with_probability_inputs(tmp_path, monkeypatch, capsys, flags):
+    ## the probabilities used to be dropped without a word; nothing is read
+    monkeypatch.setattr(cli, "read_raster", _no_work)
+    monkeypatch.setattr(cli, "_load_json", _no_work)
+    out = tmp_path / "rep"
+    argv = ["eval", "--pred-states", "states.rts", "--labels", "scene", "--out", out]
+    assert run_cli(argv + [arg for flag in flags for arg in (flag, "x")]) == 1
+    assert_one_error_line(capsys)
     assert not out.exists()
 
 
@@ -900,23 +918,27 @@ def test_ablate_grid(tmp_path, capsys):
 
 
 def test_ablate_checkpoint_mode(tmp_path, train_run_dir, capsys):
+    ## the checkpoint was trained at t 2; its rows follow grid t
     config = {
         "checkpoint": os.path.join(train_run_dir, "checkpoint.ckpt"),
-        "scenes": {"spec": tiny_spec_jsonable(), "t": 3,
-                   "train_seeds": [], "val_seeds": [5]},
-        "grid": {"mti_modes": ["degenerate", "adjacent"]},
+        "scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [], "val_seeds": [5]},
+        "grid": {"t": [3, 4], "mti_modes": ["degenerate", "adjacent"]},
     }
     cfg_path = tmp_path / "ckpt.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "ablate"
     assert run_cli(["ablate", "--config", cfg_path, "--out", out]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 2
+    assert [(r["t"], r["mode"]) for r in rows] == [
+        (3, "degenerate"), (3, "adjacent"), (4, "degenerate"), (4, "adjacent")
+    ]
     for row in rows:
         assert row["edge_kind"] == "adjacent"  # inherited from checkpoint meta
         assert row["checkpoint"] == config["checkpoint"]
         assert "segmentation_f1" in row
-    assert {r["mode"] for r in rows} == {"degenerate", "adjacent"}
+    assert rows[0]["segmentation_f1"] != rows[2]["segmentation_f1"]
+    with open(out / "table.csv", encoding="utf-8", newline="") as fh:
+        assert next(csv.reader(fh))[:4] == ["t", "checkpoint", "edge_kind", "mode"]
 
 
 ## (seg sigma, mode) -> mean bitemporal F1 over scenes 0 and 1 at T=3, 16x16, ch sigma 0.25:
@@ -980,17 +1002,17 @@ ABLATE_CONFIGS = {
     ),
     "train_dirs_not_strings": ({"scenes": {"train_dirs": [5], "val_dirs": []}}, "'train_dirs'"),
     "val_dirs_not_list": ({"scenes": {"train_dirs": [], "val_dirs": "v"}}, "'val_dirs'"),
+    ## fusion threads come from the cores the process may use, as for infer
+    "workers_removed": ({"workers": 2}, "AblateConfig.workers: unknown key"),
     ## each case below used to train or generate before failing, or to run on a cast value
-    "workers_zero": ({"workers": 0}, "workers must be >= 1"),
-    "workers_float": ({"workers": 2.7}, "AblateConfig.workers: expected int"),
-    "workers_bool": ({"workers": True}, "AblateConfig.workers: expected int"),
     "loss_edges_unknown": ({"grid": {"loss_edges": ["adjacent", "sideways"]}}, "'sideways'"),
     "t_float": ({"grid": {"t": [3.9]}}, "AblateConfig.grid.t[0]: expected int"),
     "t_too_short": ({"grid": {"t": [3, 1]}}, "t_train must be >= 2"),
-    "scenes_t_float": (
-        {"scenes": {"spec": tiny_spec_jsonable(), "t": 3.5, "train_seeds": [0],
+    ## grid t is the one series length; scenes.t was ignored outside checkpoint mode
+    "scenes_t_removed": (
+        {"scenes": {"spec": tiny_spec_jsonable(), "t": 3, "train_seeds": [0],
                     "val_seeds": [1]}},
-        "AblateConfig.scenes.t: expected int",
+        "AblateConfig.scenes.t: unknown key",
     ),
     "no_train_scenes": (
         {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [], "val_seeds": [1]}},
@@ -1006,6 +1028,14 @@ ABLATE_CONFIGS = {
         {"checkpoint": "TRAINED", "scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
                                              "val_seeds": []}},
         "no validation scene",
+    ),
+    "checkpoint_t_too_short": (
+        {"checkpoint": "TRAINED", "grid": {"t": [3, 1]}}, "a scene needs at least 2 timestamps"
+    ),
+    ## a checkpoint evaluates stored scenes whole, as corrupted truth does
+    "checkpoint_t_differs_from_scene_dirs": (
+        {"checkpoint": "TRAINED", "grid": {"t": [2, 3]}, "scenes": SCENE_DIRS},
+        "grid t [2] differs from the stored validation series, 3 timestamps",
     ),
     ## a misspelt key used to be ignored, so "corupt" ran a full training grid
     "unknown_key": ({"corupt": CORRUPT}, "AblateConfig.corupt: unknown key"),
@@ -1060,6 +1090,7 @@ def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_ru
                                           "val_dirs": [clean_scene_dir]})
     monkeypatch.setattr(cli, "generate", _no_work)
     monkeypatch.setattr(cli, "train", _no_work)
+    monkeypatch.setattr(cli, "load_checkpoint", _no_work)
     config = {"scenes": {"spec": tiny_spec_jsonable(), "train_seeds": [0],
                          "val_seeds": [1]},
               **sections}
@@ -1081,6 +1112,28 @@ def test_ablate_corrupted_scene_dirs_report_their_length(tmp_path, capsys, clean
     rows = json.loads(capsys.readouterr().out)
     assert [r["mode"] for r in rows] == ["degenerate", "dense"]
     assert all(r["t"] == 3 for r in rows)
+
+
+def test_ablate_skips_a_mode_infeasible_at_any_validation_length(tmp_path, capsys,
+                                                                 clean_scene_dir):
+    ## cyclic edges hold every dense pair at T=3 but not at T=4, and the
+    ## T=4 scene comes second, so the first scene alone would allow dense
+    long_dir = make_scene_dir(tmp_path / "scene_t4", seed=2, extra=["--t", "4"])
+    config = {
+        "scenes": {"train_dirs": [clean_scene_dir], "val_dirs": [clean_scene_dir, long_dir]},
+        "grid": {"t": [3], "loss_edges": ["cyclic"], "tfr": [False],
+                 "mti_modes": ["degenerate", "dense"]},
+        "train": {"lr": 1e-3, "batch_size": 1, "max_epochs": 1, "steps_per_epoch": 1,
+                  "patience": 1, "patch_size": 8, "candidate_crops": 4},
+        "model": {"scales": 2, "base_width": 4},
+    }
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["ablate", "--config", cfg_path, "--out", tmp_path / "ablate"]) == 0
+    degenerate, dense = json.loads(capsys.readouterr().out)
+    assert degenerate["mode"] == "degenerate" and "continuous_f1" in degenerate
+    assert dense["mode"] == "dense"
+    assert dense["skipped"] == "dense edges exceed trained kind cyclic"
 
 
 TRAIN_HELP = """\
@@ -1199,7 +1252,6 @@ SUBCOMMAND_FLAGS = {
         (["--ch-probs"], None, None, False),
         (["--edges"], None, None, False),
         (["--mode"], None, ("degenerate", "adjacent", "cyclic", "dense"), True),
-        (["--workers"], 1, None, False),
         (["--out"], None, None, False),
     ],
     "eval": [

@@ -729,7 +729,7 @@ def test_integrate_output_bytes_are_pinned(monkeypatch, instance):
                 tile_budget(monkeypatch, tile_pixels, instance[1], mode)
             else:
                 monkeypatch.setattr(markov, "TILE_BYTES", default)
-            for workers in (1, 2, 3):
+            for workers in (1, 2, 3, None):
                 series = integrate(seg, ch, edges, mode, workers=workers)
                 digest = hashlib.sha256(series.states.tobytes() + series.map_score.tobytes())
                 assert digest.hexdigest() == want, (mode, tile_pixels, workers)

@@ -144,21 +144,17 @@ def save_checkpoint(path: str, named_values: dict, meta: dict) -> None:
     """Single-file checkpoint: magic, JSON header, concatenated raster records.
 
     Layout: b"CKPT" | uint32-LE header length | UTF-8 JSON
-    {"meta": ..., "index": [{"name", "offset", "shape"}, ...]} | records.
-    Each record is a complete RTS1 raster; offsets are byte positions
-    relative to the end of the header.  Values are stored float32.
+    {"meta": ..., "index": [{"name": ...}, ...]} | records.  Each record is
+    a complete RTS1 raster, which carries its own extents; they follow the
+    index order end to end.  Values are stored float32.
     """
     records = []
-    index = []
-    offset = 0
     for name, value in named_values.items():
         try:
-            rec = _encode_raster(value)
+            records.append(_encode_raster(value))
         except RasterFormatError as exc:
             raise RasterFormatError(f"parameter {name}: {exc}") from exc
-        index.append({"name": name, "offset": offset, "shape": list(np.shape(value))})
-        records.append(rec)
-        offset += len(rec)
+    index = [{"name": name} for name in named_values]
     header = json.dumps({"meta": meta, "index": index}, sort_keys=True).encode("utf-8")
     _atomic_write(
         path, CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header + b"".join(records)
@@ -168,20 +164,20 @@ def save_checkpoint(path: str, named_values: dict, meta: dict) -> None:
 def load_checkpoint(path: str) -> tuple[dict, dict]:
     """Read back (meta, {name: float64 array}) from save_checkpoint's layout.
 
-    The index must list each name once, and its records must tile the body
-    exactly: each offset is the previous record's end, and the last record
-    ends at the end of the file.
+    Only the index's names are read, and each must be listed once.  The
+    records must fill the body exactly: each starts where the previous one
+    ends, and the last ends at the end of the file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8 or blob[:4] != CHECKPOINT_MAGIC:
         raise RasterFormatError(f"{path}: not a checkpoint file")
     (hlen,) = struct.unpack_from("<I", blob, 4)
-    body = 8 + hlen
-    if len(blob) < body:
+    end = 8 + hlen
+    if len(blob) < end:
         raise RasterFormatError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(blob[8:body].decode("utf-8"))
+        header = json.loads(blob[8:end].decode("utf-8"))
     except ValueError as exc:
         raise RasterFormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if not (
@@ -191,27 +187,13 @@ def load_checkpoint(path: str) -> tuple[dict, dict]:
     ):
         raise RasterFormatError(f'{path}: header is not {{"meta": ..., "index": [...]}}')
     values = {}
-    end = body
     for i, entry in enumerate(header["index"]):
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and type(entry.get("offset")) is int
-            and isinstance(entry.get("shape"), list)
-        ):
-            raise RasterFormatError(
-                f"{path}: index entry {i} needs a string name, an int offset and a list shape"
-            )
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise RasterFormatError(f"{path}: index entry {i} needs a string name")
         name = entry["name"]
         if name in values:
             raise RasterFormatError(f"{path}: duplicate record name {name!r}")
-        if body + entry["offset"] != end:
-            raise RasterFormatError(
-                f"{path}: record {name!r} at offset {entry['offset']}, expected {end - body}"
-            )
         values[name], end = _decode_raster(blob, end, f"{path}: record {name!r}")
-        if list(values[name].shape) != entry["shape"]:
-            raise RasterFormatError(f"{path}: shape mismatch for {name!r}")
     if end != len(blob):
         raise RasterFormatError(f"{path}: {len(blob) - end} bytes after the last record")
     return header["meta"], values

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .jsonconfig import JsonConfig
+
 EDGE_KINDS = ("adjacent", "cyclic", "dense")
 
 
@@ -31,14 +33,15 @@ def _expected_edges(kind: str, t_len: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(JsonConfig):
     """Sorted, duplicate-free timestamp pairs of one kind over a length-T series.
 
-    `edges` is derived from (kind, t_len) on construction.
+    Its JSON form is {"kind", "t"}: `edges` is derived from them on
+    construction, so it is neither written nor read.
     """
 
     kind: str
-    t_len: int
+    t_len: int = field(metadata={"key": "t"})
     edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,20 +62,6 @@ class EdgeSet:
     def index_pairs(self) -> list[tuple[int, int]]:
         """0-based (t-1, k-1) array indices for each edge."""
         return [(t - 1, k - 1) for t, k in self.edges]
-
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "t": self.t_len, "edges": [list(e) for e in self.edges]}
-
-    @staticmethod
-    def from_jsonable(obj: dict) -> "EdgeSet":
-        """The edge set a to_jsonable dict names; its stored list must match."""
-        if not isinstance(obj, dict) or type(obj.get("t")) is not int:
-            raise ValueError("expected an object whose 't' is an int")
-        edges = EdgeSet(obj["kind"], obj["t"])
-        stored = tuple(tuple(e) for e in obj["edges"])
-        if stored != edges.edges:
-            raise ValueError(f"edge list {stored} does not match {edges.kind} over T={edges.t_len}")
-        return edges
 
 
 def build_edge_set(kind: str, t_len: int) -> EdgeSet:

@@ -28,7 +28,7 @@ from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
 from .changefeat import EDGE_KINDS, EdgeSet, PairMaps, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
 from .markov import MODES, integrate
-from .model import ChangeModel, ModelConfig
+from .model import ChangeModel, ModelConfig, check_records
 from .objective import TASKS, check_binary, evaluate, threshold_probs
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate, stack_probs
 from .temporal import TemporalConfig
@@ -113,7 +113,7 @@ def _load_edges(path: str, seg_path: str, seg_probs: np.ndarray) -> EdgeSet:
                        f"but {seg_path} has T = {len(seg_probs)}")
     try:
         return EdgeSet.from_jsonable(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path} does not describe an edge set: {exc}") from exc
 
 
@@ -165,7 +165,8 @@ def _load_model(path: str) -> tuple[ChangeModel, TrainConfig]:
     """The checkpointed model and the config it was trained with.
 
     A checkpoint without a "train" section gets the default TrainConfig,
-    whose edge kind and series length are the fallbacks for it.
+    whose edge kind and series length are the fallbacks for it.  The model
+    section is held against the records before the model is built.
     """
     meta, values = load_checkpoint(path)
     if not isinstance(meta, dict):
@@ -173,6 +174,7 @@ def _load_model(path: str) -> tuple[ChangeModel, TrainConfig]:
     try:
         model_cfg = ModelConfig.from_jsonable(meta.get("model"))
         train_cfg = TrainConfig.from_jsonable(meta["train"]) if "train" in meta else TrainConfig()
+        check_records(model_cfg, values)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     model = ChangeModel(model_cfg)
@@ -195,7 +197,6 @@ def _cmd_synth_gen(args) -> int:
     with run:
         write_raster(run.path("images.rts"), scene.images)
         write_raster(run.path("seg_labels.rts"), scene.seg_labels.astype(np.float64))
-        write_raster(run.path("change_labels.rts"), scene.change_stack(dense).astype(np.float64))
         write_raster(run.path("seg_probs.rts"), seg_probs)
         write_raster(run.path("ch_probs.rts"), stack_probs(ch_probs, dense))
         run.write_manifest(
@@ -209,7 +210,6 @@ def _cmd_synth_gen(args) -> int:
                 "outputs": {
                     "images": "images.rts",
                     "seg_labels": "seg_labels.rts",
-                    "change_labels": "change_labels.rts",
                     "seg_probs": "seg_probs.rts",
                     "ch_probs": "ch_probs.rts",
                     "edges": dense.to_jsonable(),
@@ -243,7 +243,7 @@ def _cmd_train(args) -> int:
             "best_val_loss": result.best_val_loss,
             "best_epoch": result.best_epoch,
         }
-        save_checkpoint(run.path("checkpoint.ckpt"), result.best_params, meta)
+        save_checkpoint(run.path("checkpoint.ckpt"), result.model.param_values(), meta)
         with open(run.path("train_log.jsonl"), "w", encoding="utf-8") as fh:
             for record in result.history:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -595,9 +595,9 @@ def _cmd_ablate(args) -> int:
             channels = train_scenes[0].images.shape[1]
             for kind, use_tfr, model_cfg, train_cfg in cfg.cells(channels)[t_len]:
                 result = train(train_scenes, val_scenes, model_cfg, train_cfg)
-                names = sorted(result.best_params)
-                yield ({"loss_edges": kind, "tfr": use_tfr, "n_params": len(names),
-                        "attention_params": sum(n.startswith("temporal.") for n in names),
+                params = result.model.named_params()
+                yield ({"loss_edges": kind, "tfr": use_tfr, "n_params": len(params),
+                        "attention_params": sum(n.startswith("temporal.") for n in params),
                         "best_val_loss": result.best_val_loss},
                        kind, _forward(result.model))
 

@@ -6,11 +6,12 @@ walks the same fields and coerces each value with its annotated type:
 bool, int, float (an int is accepted), str, a nested config, a typed tuple
 such as tuple[int, ...] (a JSON list), or any of these or None.  Unknown
 keys are ignored.  A missing key, a value of the wrong type or a
-non-object raises ValueError naming the key and any list index.
-from_partial first merges the object, recursively, over the defaults'
-to_jsonable(), so there a missing key takes its default; it reads a
-hand-written file, so there an unknown key, nested sections included,
-raises ValueError naming its dotted path.
+non-object raises ValueError naming the key and any list index.  A field
+declared with init=False is derived from the others, so it is neither
+written nor read.  from_partial first merges the object, recursively,
+over the defaults' to_jsonable(), so there a missing key takes its
+default; it reads a hand-written file, so there an unknown key, nested
+sections included, raises ValueError naming its dotted path.
 
 On the command line, add_flags gives an argparse parser one flag per field,
 in field order: the JSON key with dashes unless the metadata {"flag": ...}
@@ -33,7 +34,7 @@ class JsonConfig:
 
     def to_jsonable(self) -> dict:
         out = {}
-        for f in fields(self):
+        for f in _stored(self):
             value = getattr(self, f.name)
             value = value.to_jsonable() if isinstance(value, JsonConfig) else value
             out[f.metadata.get("key", f.name)] = list(value) if isinstance(value, tuple) else value
@@ -66,6 +67,10 @@ class JsonConfig:
         return cls(**{f.name: getattr(args, f.name) for f in _flagged(cls)})
 
 
+def _stored(cls) -> list:
+    return [f for f in fields(cls) if f.init]
+
+
 def _flagged(cls) -> list:
     return [f for f in fields(cls) if f.metadata.get("flag", "") is not None]
 
@@ -90,7 +95,7 @@ def _load(tp, value, where: str, key: str | None = None, strict: bool = False):
         if not isinstance(value, dict):
             raise _wrong(where, key, "an object", value)
         hints = typing.get_type_hints(tp)
-        names = {f.metadata.get("key", f.name): f for f in fields(tp)}
+        names = {f.metadata.get("key", f.name): f for f in _stored(tp)}
         for name in value if strict else ():
             if name not in names:
                 raise ValueError(f"{where}.{name}: unknown key")

@@ -14,6 +14,7 @@ their work between the cores, bitwise equal to one core's result.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,25 @@ class ModelConfig(JsonConfig):
     def __post_init__(self):
         if self.temporal is not None and self.backbone.base_width % self.temporal.heads:
             raise ValueError("base width must be divisible by the head count")
+
+
+def check_records(cfg: ModelConfig, values: dict) -> None:
+    """Refuse records too few or too small for cfg's model, before it is built.
+
+    The entry conv, each deeper scale's last conv and each refiner layer's
+    first feed-forward weight must be stored with the shape cfg implies,
+    walked until the first miss; load_param_values checks every record.
+    """
+    bb, tc, w = cfg.backbone, cfg.temporal, cfg.backbone.width_at
+    widest = itertools.chain(
+        [("encoder.entry.conv1.weight", (w(0), bb.in_channels, 3, 3))],
+        ((f"encoder.down{s}.conv2.weight", (w(s), w(s), 3, 3)) for s in range(1, bb.scales)),
+        ((f"temporal.scale{s}.layer{i}.ff1.weight", (w(s), tc.ff_mult * w(s)))
+         for s in range(bb.scales) for i in range(tc.layers if tc else 0)),
+    )
+    for name, shape in widest:
+        if name not in values or values[name].shape != shape:
+            raise ValueError(f"the model config needs a record {name!r} of shape {shape}")
 
 
 class ChangeModel(Layer):

@@ -186,8 +186,9 @@ class AdamW:
 
 @dataclass
 class TrainResult:
+    """The trained model, holding the parameters of its best validation epoch."""
+
     model: ChangeModel
-    best_params: dict
     best_val_loss: float
     best_epoch: int
     history: list = field(default_factory=list)
@@ -295,7 +296,6 @@ def train(
     model.load_param_values(best_params)
     return TrainResult(
         model=model,
-        best_params=best_params,
         best_val_loss=float(best_val),
         best_epoch=best_epoch,
         history=history,

@@ -31,14 +31,35 @@ SNAN = np.array([0x3F000000, 0x7F800001, 0x40000000, 0x40800000], dtype="<u4").v
 META = {"model": ModelConfig().to_jsonable()}
 
 
-def index(offset_b=len(REC_A), name_b="b", shape_a=(2, 3)):
-    return [
-        {"name": "a", "offset": 0, "shape": list(shape_a)},
-        {"name": name_b, "offset": offset_b, "shape": [4]},
-    ]
+def index(name_b="b"):
+    return [{"name": "a"}, {"name": name_b}]
 
 
 GOOD = pack({"meta": META, "index": index()}, REC_A + REC_B)
+
+
+def older_index(offset_b=len(REC_A), shape_a=(2, 3)):
+    """GOOD's index as files of the older layout wrote it: each entry also held
+    its record's offset after the header and its shape."""
+    return [
+        {"name": "a", "offset": 0, "shape": list(shape_a)},
+        {"name": "b", "offset": offset_b, "shape": [4]},
+    ]
+
+
+## name -> GOOD's records under an older-layout index; the loader reads only
+## names, so these load GOOD's values whatever the offsets and shapes say
+OLDER_LAYOUT = {
+    "offsets_and_shapes": pack({"meta": META, "index": older_index()}, REC_A + REC_B),
+    "entry_offset_not_int": pack(
+        {"meta": META, "index": [dict(e, offset=str(e["offset"])) for e in older_index()]},
+        REC_A + REC_B,
+    ),
+    "overlapping_offsets": pack(
+        {"meta": META, "index": older_index(offset_b=len(REC_A) - 4)}, REC_A + REC_B
+    ),
+    "shape_mismatch": pack({"meta": META, "index": older_index(shape_a=(3, 2))}, REC_A + REC_B),
+}
 
 ## name -> checkpoint bytes that load_checkpoint must refuse
 CHECKPOINTS = {
@@ -49,26 +70,20 @@ CHECKPOINTS = {
     "trailing_bytes": GOOD + b"\x00" * 4,
     "truncated_record": GOOD[:-4],
     "truncated_header": GOOD[:12],
+    ## the gap's zero bytes are not the next record's RTS1 magic
     "gap_between_offsets": pack(
-        {"meta": META, "index": index(offset_b=len(REC_A) + 4)}, REC_A + b"\x00" * 4 + REC_B
-    ),
-    "overlapping_offsets": pack(
-        {"meta": META, "index": index(offset_b=len(REC_A) - 4)}, REC_A + REC_B
+        {"meta": META, "index": older_index(offset_b=len(REC_A) + 4)},
+        REC_A + b"\x00" * 4 + REC_B,
     ),
     "index_not_a_list": pack({"meta": META, "index": {"a": 0}}, REC_A + REC_B),
     "header_is_array": pack(b"[1, 2]", REC_A + REC_B),
     "header_without_meta": pack({"index": index()}, REC_A + REC_B),
     "header_not_utf8": pack(b"\xff\xfe{}", REC_A + REC_B),
     "header_not_json": pack(b"{meta", REC_A + REC_B),
-    "entry_offset_not_int": pack(
-        {"meta": META, "index": [dict(e, offset=str(e["offset"])) for e in index()]},
-        REC_A + REC_B,
-    ),
     "entry_without_name": pack(
         {"meta": META, "index": [{"offset": 0, "shape": [2, 3]}]}, REC_A
     ),
     "duplicate_name": pack({"meta": META, "index": index(name_b="a")}, REC_A + REC_B),
-    "shape_mismatch": pack({"meta": META, "index": index(shape_a=(3, 2))}, REC_A + REC_B),
     "bad_record_magic": pack({"meta": META, "index": index()}, REC_A + b"JUNK" + REC_B[4:]),
 }
 

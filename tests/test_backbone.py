@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from malformed import CHECKPOINTS, GOOD
+from malformed import CHECKPOINTS, GOOD, OLDER_LAYOUT
 
 from changeseries.backbone import (
     BackboneConfig,
@@ -261,8 +261,13 @@ def test_param_inventory_is_pinned(case):
 def test_default_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "default.ckpt"
     save_checkpoint(str(path), ChangeModel(_DEFAULT).param_values(), {"note": "pinned"})
-    digest = "6adfcddad95cc22d0ddba952e97db248be0c9df0f98ba71b27c7244cb58eebe7"
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    blob = path.read_bytes()
+    digest = "13e3cd8e62b82a33ccfbda844b1ffb7d62bdb76639cf8271a4682e2deefc3ace"
+    assert hashlib.sha256(blob).hexdigest() == digest
+    ## the records alone, which a change to the header leaves as they are
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    records = "b88714d8916433433ce452e5dab17c0950ef4bb6f56363734408c4d74b90481f"
+    assert hashlib.sha256(blob[8 + hlen :]).hexdigest() == records
 
 
 @pytest.mark.parametrize("case", sorted(PARAM_INVENTORIES))
@@ -431,10 +436,10 @@ def test_checkpoint_records_are_raster_files(tmp_path):
     (hlen,) = struct.unpack("<I", blob[4:8])
     body = blob[8 + hlen :]
     index = json.loads(blob[8 : 8 + hlen])["index"]
-    assert [e["name"] for e in index] == list(values)
+    ## an entry holds only its name: the records follow the index end to end
+    assert index == [{"name": name} for name in values]
     offset = 0
     for entry in index:
-        assert entry["offset"] == offset
         raster = str(tmp_path / "one.rts")
         write_raster(raster, values[entry["name"]])
         record = open(raster, "rb").read()
@@ -449,6 +454,19 @@ def test_checkpoint_loads_hand_packed_file(tmp_path):
     meta, values = load_checkpoint(str(path))
     assert set(values) == {"a", "b"}
     assert np.array_equal(values["a"], np.arange(6.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("case", sorted(OLDER_LAYOUT))
+def test_checkpoint_in_older_layout_loads_the_same_values(tmp_path, case):
+    ## entries that also hold offsets and shapes, even stale ones, load as GOOD
+    (tmp_path / "good.ckpt").write_bytes(GOOD)
+    (tmp_path / "older.ckpt").write_bytes(OLDER_LAYOUT[case])
+    meta, values = load_checkpoint(str(tmp_path / "good.ckpt"))
+    older_meta, older_values = load_checkpoint(str(tmp_path / "older.ckpt"))
+    assert older_meta == meta
+    assert list(older_values) == list(values)
+    for name, arr in values.items():
+        assert np.array_equal(older_values[name], arr)
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINTS))

@@ -54,12 +54,12 @@ def test_build_rejects_bad_inputs():
         build_edge_set("star", 4)
 
 
-def test_edge_set_rejects_non_canonical_lists():
-    ## the pair list is derived from (kind, t); a stored one must match it
-    with pytest.raises(ValueError):
-        EdgeSet.from_jsonable({"kind": "adjacent", "t": 3, "edges": [[2, 3], [1, 2]]})
-    with pytest.raises(ValueError):
-        EdgeSet.from_jsonable({"kind": "dense", "t": 3, "edges": [[1, 2], [2, 3]]})
+def test_edge_set_ignores_stored_lists():
+    ## the pair list is derived from (kind, t): it is neither written nor read
+    assert build_edge_set("cyclic", 4).to_jsonable() == {"kind": "cyclic", "t": 4}
+    for stored in ([[1, 2], [1, 3], [2, 3]], [[2, 3], [1, 2]], [1, 2, 3]):
+        edges = EdgeSet.from_jsonable({"kind": "dense", "t": 3, "edges": stored})
+        assert edges == build_edge_set("dense", 3)
     assert EdgeSet("dense", 3).edges == ((1, 2), (1, 3), (2, 3))
     ## one validity rule: no kind of edge set exists over a single timestamp
     for kind in EDGE_KINDS:

@@ -17,6 +17,7 @@ from malformed import CHECKPOINTS, META, MODEL_CONFIGS, SNAN, pack, rts1
 from changeseries import cli, cores
 from changeseries.backbone import load_checkpoint, save_checkpoint
 from changeseries.changefeat import build_edge_set
+from changeseries.model import ChangeModel, ModelConfig
 from changeseries.synthgen import SceneSpec, generate
 from changeseries.tensor import read_raster, write_raster
 
@@ -79,14 +80,37 @@ def assert_one_error_line(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
+def run_under_1gib(argv):
+    """cli.main(argv) in a subprocess capped at 1 GiB of address space; its
+    stdout is the exit code and the seconds main took."""
+    probe = (
+        "import resource, sys, time\n"
+        "cap = (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])\n"
+        "resource.setrlimit(resource.RLIMIT_AS, cap)\n"
+        "from changeseries import cli\n"
+        "started = time.perf_counter()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, time.perf_counter() - started)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run(
+        [sys.executable, "-c", probe, *map(str, argv)], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 ## ---------------------------------------------------------------- synth-gen
 
 
+SCENE_FILES = ("images.rts", "seg_labels.rts", "seg_probs.rts", "ch_probs.rts", "manifest.json")
+
+
 def test_synth_gen_outputs_and_round_trip(clean_scene_dir):
-    for name in ("images.rts", "seg_labels.rts", "change_labels.rts",
-                 "seg_probs.rts", "ch_probs.rts", "manifest.json"):
-        assert os.path.exists(os.path.join(clean_scene_dir, name))
+    ## change labels derive from seg_labels, so no file holds them
+    assert sorted(os.listdir(clean_scene_dir)) == sorted(SCENE_FILES)
     manifest = read_manifest(clean_scene_dir)
+    assert set(manifest["outputs"]) == {"images", "seg_labels", "seg_probs", "ch_probs", "edges"}
+    assert manifest["outputs"]["edges"] == {"kind": "dense", "t": 3}
     assert manifest["tool"] == "changeseries"
     assert manifest["command"] == "synth-gen"
     scene = cli.load_scene_dir(clean_scene_dir)
@@ -104,8 +128,7 @@ def test_synth_gen_outputs_and_round_trip(clean_scene_dir):
 def test_synth_gen_byte_deterministic(tmp_path):
     a = make_scene_dir(tmp_path / "a", seed=3, seg_noise=0.2, ch_noise=0.2)
     b = make_scene_dir(tmp_path / "b", seed=3, seg_noise=0.2, ch_noise=0.2)
-    for name in ("images.rts", "seg_labels.rts", "change_labels.rts",
-                 "seg_probs.rts", "ch_probs.rts", "manifest.json"):
+    for name in SCENE_FILES:
         assert file_bytes(os.path.join(a, name)) == file_bytes(os.path.join(b, name))
 
 
@@ -323,6 +346,31 @@ def test_integrate_dense_outputs_and_worker_invariance(tmp_path, noisy_scene_dir
     assert set(manifest["config"]) == {"seg_probs", "ch_probs", "edges", "mode"}
 
 
+def test_manifest_with_stored_pair_list_feeds_integrate_and_eval(tmp_path, train_run_dir,
+                                                                 clean_scene_dir):
+    ## infer manifests used to store the edge set's pair list beside kind and t
+    inferred = infer_into(tmp_path / "inf", os.path.join(train_run_dir, "checkpoint.ckpt"),
+                          os.path.join(clean_scene_dir, "images.rts"),
+                          extra=["--edge-kind", "dense"])
+    manifest = read_manifest(inferred)
+    assert manifest["outputs"]["edges"] == {"kind": "dense", "t": 3}
+    older = tmp_path / "older.json"
+    manifest["outputs"]["edges"]["edges"] = [[1, 2], [1, 3], [2, 3]]
+    older.write_text(json.dumps(manifest), encoding="utf-8")
+    runs = {}
+    for name, edges in (("now", os.path.join(inferred, "manifest.json")), ("older", older)):
+        probs = ["--seg-probs", os.path.join(inferred, "seg_probs.rts"),
+                 "--ch-probs", os.path.join(inferred, "ch_probs.rts"), "--edges", edges]
+        fused, scored = tmp_path / f"fused_{name}", tmp_path / f"scored_{name}"
+        assert run_cli(["integrate", *probs, "--mode", "dense", "--out", fused]) == 0
+        assert run_cli(["eval", *probs, "--labels", clean_scene_dir, "--out", scored]) == 0
+        runs[name] = (fused, scored)
+        assert read_manifest(str(fused))["outputs"]["edges"] == {"kind": "dense", "t": 3}
+    (fused, scored), (older_fused, older_scored) = runs["now"], runs["older"]
+    assert file_bytes(fused / "states.rts") == file_bytes(older_fused / "states.rts")
+    assert file_bytes(scored / "report.json") == file_bytes(older_scored / "report.json")
+
+
 def test_integrate_dense_requires_change_inputs(tmp_path, noisy_scene_dir, capsys):
     out = tmp_path / "missing"
     argv = ["integrate", "--seg-probs", os.path.join(noisy_scene_dir, "seg_probs.rts"),
@@ -354,6 +402,41 @@ def test_integrate_missing_input_leaves_no_outputs(tmp_path, capsys):
             "--mode", "degenerate", "--out", out]
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+## a default model's records under a model section that claims far more: under a
+## 1 GiB address-space cap, building that model ends in a MemoryError traceback
+OVERSIZED_MODELS = {
+    "scales_60": lambda m: m["backbone"].update(scales=60),
+    "base_width_2_20": lambda m: m["backbone"].update(base_width=2**20),
+    "refiner_layers_1e9": lambda m: m["temporal"].update(layers=10**9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_MODELS))
+@pytest.mark.parametrize("command", ["infer", "ablate"])
+def test_model_larger_than_its_records_is_refused_before_it_is_built(
+    tmp_path, clean_scene_dir, command, case
+):
+    model_json = ModelConfig().to_jsonable()
+    OVERSIZED_MODELS[case](model_json)
+    ckpt = tmp_path / "oversized.ckpt"
+    save_checkpoint(str(ckpt), ChangeModel(ModelConfig()).param_values(), {"model": model_json})
+    out = tmp_path / "out"
+    if command == "infer":
+        argv = ["infer", "--checkpoint", ckpt,
+                "--images", os.path.join(clean_scene_dir, "images.rts"), "--out", out]
+    else:
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"scenes": {"val_dirs": [clean_scene_dir]},
+                                    "checkpoint": str(ckpt), "grid": {"t": [3]}}),
+                        encoding="utf-8")
+        argv = ["ablate", "--config", grid, "--out", out]
+    done = run_under_1gib(argv)
+    assert done.stdout.split()[:1] == ["1"], done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:"), done.stderr
+    assert "needs a record" in done.stderr
     assert not out.exists()
 
 
@@ -421,7 +504,7 @@ def test_eval_refuses_states_with_probability_inputs(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-DENSE3 = {"kind": "dense", "t": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
+DENSE3 = {"kind": "dense", "t": 3}
 
 ## name -> an --edges file that integrate and eval must refuse
 BAD_EDGE_FILES = {
@@ -431,7 +514,6 @@ BAD_EDGE_FILES = {
     "t_float": dict(DENSE3, t=3.7),
     "t_string": dict(DENSE3, t="3"),
     "t_bool": dict(DENSE3, t=True),
-    "edges_not_pairs": dict(DENSE3, edges=[1, 2, 3]),
     "edges_wrapper": {"edges": DENSE3},
 }
 
@@ -468,20 +550,7 @@ def test_edge_file_over_another_series_is_refused_before_its_pairs_exist(
             "--ch-probs", os.path.join(clean_scene_dir, "ch_probs.rts"),
             "--edges", str(bad), "--out", str(out)]
     argv += ["--mode", "dense"] if command == "integrate" else ["--labels", clean_scene_dir]
-    probe = (
-        "import resource, sys, time\n"
-        "cap = (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])\n"
-        "resource.setrlimit(resource.RLIMIT_AS, cap)\n"
-        "from changeseries import cli\n"
-        "started = time.perf_counter()\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "print(code, time.perf_counter() - started)\n"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *argv], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120,
-    )
+    done = run_under_1gib(argv)
     assert done.stdout.split()[:1] == ["1"], done.stderr
     assert float(done.stdout.split()[1]) < 2.0
     assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:"), done.stderr
@@ -780,12 +849,19 @@ def test_eval_names_the_prediction_that_does_not_fit_the_labels(tmp_path, clean_
 
 
 def test_scene_dir_ignores_stored_change_labels(tmp_path, clean_scene_dir):
+    ## older synth-gen directories also stored the dense change labels; a
+    ## stored copy, right or wrong, never replaces those derived from seg_labels
     scene = tmp_path / "scene"
     shutil.copytree(clean_scene_dir, scene)
-    os.unlink(scene / "change_labels.rts")
+    write_raster(scene / "change_labels.rts", np.ones((3, 16, 16)))
+    manifest = read_manifest(str(scene))
+    manifest["outputs"]["change_labels"] = "change_labels.rts"
+    (scene / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    dense = build_edge_set("dense", 3)
     loaded = cli.load_scene_dir(str(scene))
-    stored = read_raster(os.path.join(clean_scene_dir, "change_labels.rts"))
-    assert np.array_equal(loaded.change_stack(build_edge_set("dense", 3)), stored)
+    derived = cli.load_scene_dir(clean_scene_dir).change_stack(dense)
+    assert np.array_equal(loaded.change_stack(dense), derived)
+    assert not derived.all()
 
 
 ## ------------------------------------------------------------------- run dir
@@ -861,8 +937,7 @@ def test_manifest_replay_is_byte_identical(tmp_path, clean_scene_dir):
     argv += ["--seg-noise", config["seg_noise"], "--ch-noise", config["ch_noise"],
              "--corrupt-seed", config["corrupt_seed"], "--out", tmp_path / "replay"]
     assert run_cli(argv) == 0
-    for name in ("images.rts", "seg_labels.rts", "change_labels.rts",
-                 "seg_probs.rts", "ch_probs.rts", "manifest.json"):
+    for name in SCENE_FILES:
         assert file_bytes(os.path.join(clean_scene_dir, name)) == file_bytes(
             os.path.join(tmp_path / "replay", name)
         )

@@ -271,8 +271,9 @@ def test_train_is_identical_at_every_worker_count(monkeypatch, split_everything)
     first = results[0]
     for other in results[1:]:
         assert other.history == first.history
-        for name, arr in first.best_params.items():
-            assert bits_equal(other.best_params[name], arr), name
+        others = other.model.param_values()
+        for name, arr in first.model.param_values().items():
+            assert bits_equal(others[name], arr), name
 
 
 def test_cli_train_and_infer_bytes_do_not_depend_on_workers(monkeypatch, tmp_path,

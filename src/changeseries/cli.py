@@ -694,7 +694,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError, TrainingDiverged) as exc:
+    ## numpy raises a MemoryError subclass for an allocation that cannot be met
+    except (CliError, ValueError, KeyError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,7 @@
 """One process-wide pool of threads for work split inside a layer.
 
 A layer that splits its work hands run() a function over index ranges:
-image rows of a 3x3 conv, channels of a BatchNorm, pixel tiles of the
+images of a 3x3 conv, channels of a BatchNorm, pixel tiles of the
 temporal refiner or of the Markov decoders.  run() calls it once on the
 whole range, or on one contiguous range per part, the first on the calling
 thread and each other on a thread of the shared pool.  Every range writes

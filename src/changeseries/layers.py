@@ -29,24 +29,23 @@ its norm outputs and its FFN hidden layer (temporal.py).  Each rebuild
 calls the helper the forward itself used, so it is bitwise equal to the
 array it replaces.
 
-Conv2d caches its input by reference, never a patch matrix: a 3x3 forward
-packs the columns of one image at a time, and backward re-packs the whole
-batch from the input for the weight gradient.  A conv built with
-input_grad=False (the network's first) skips dx, which no one reads.
-Conv2d returns its output and dx C-contiguous, and BatchNormReLU keeps
-that layout, so every activation of a ConvBlock, forward and backward,
-is contiguous NCHW and each per-channel reduction and column pack reads
-memory in order.
+Conv2d caches its input by reference, never a patch matrix: a 3x3 conv
+runs, in forward, dx and the weight gradient alike, as nine GEMMs over
+shifted slices of one zero-padded, flattened image at a time (_conv_raw),
+so no column matrix exists.  A conv built with input_grad=False (the
+network's first) skips dx, which no one reads.  Conv2d returns its output
+and dx C-contiguous, and BatchNormReLU keeps that layout, so every
+activation of a ConvBlock, forward and backward, is contiguous NCHW and
+each per-channel reduction and image copy reads memory in order.
 
-Inside cores.threaded() (ChangeModel's inference forward) a large 3x3
-conv splits its output rows into bands and a large BatchNorm its
-channels, one part per worker.  Each part computes its cells with the
-same operations, in the same order, as the whole layer: a band's GEMM
-starts on a tile boundary of OpenBLAS's kernel and stays above its
-small-matrix size (_bands), and every BatchNorm part holds two channels
-or more (_channel_parts).  So the output is bitwise equal at every
-worker count.  Thresholds (CONV_SPLIT_COLUMNS, NORM_SPLIT_CELLS) keep
-small layers, which lose to the hand-off, whole.
+Inside cores.threaded() (ChangeModel's inference forward) a 3x3 conv
+splits its images and a large BatchNorm its channels, one part per
+worker.  Each part computes its cells with the same operations, in the
+same order, as the whole layer: an image's GEMMs have the same shapes on
+any thread, and every BatchNorm part holds two channels or more
+(_channel_parts).  So the output is bitwise equal at every worker count.
+A threshold (NORM_SPLIT_CELLS) keeps small BatchNorms, which lose to the
+hand-off, whole.
 
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
@@ -65,16 +64,9 @@ import numpy as np
 from . import cores
 from .rng import SeededRng
 
-## inside cores.threaded(), a 3x3 conv whose images have at least this many
-## column cells (C*9*H*W) splits its rows (2 vCPUs: 1.2-1.8x from 2.9e5 up,
-## 0.8-1.0x at 1.5e5)
-CONV_SPLIT_COLUMNS = 1 << 18
-## into bands that start on a multiple of this many output pixels
-BAND_ALIGN = 64
-## and each do at least this many multiply-adds
-BAND_MACS = 1 << 20
-## and a BatchNorm over at least this many cells (B*C*H*W) splits its channels
-## (1.3-1.7x from 2.6e5 up, 0.5-0.9x at 1.3e5 and below)
+## inside cores.threaded(), a BatchNorm over at least this many cells
+## (B*C*H*W) splits its channels (1.3-1.7x from 2.6e5 up, 0.5-0.9x at
+## 1.3e5 and below)
 NORM_SPLIT_CELLS = 1 << 18
 
 
@@ -104,112 +96,90 @@ def kaiming_uniform(rng: SeededRng, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * bound
 
 
-def _window(shift: int, n: int) -> tuple[slice, slice]:
-    """Destination and source slices of a tap shifted by -1, 0 or +1 along n cells."""
-    return slice(max(0, -shift), n - max(0, shift)), slice(max(0, shift), n + min(0, shift))
+def _pad_buffer(cin: int, h: int, w: int) -> np.ndarray:
+    """A zeroed (C, (H+3)*(W+2)) buffer: each channel an (H+2, W+2) padded image, flat.
 
-
-def _pack_columns(x: np.ndarray, cols: np.ndarray, y0: int = 0) -> np.ndarray:
-    """Write the 3x3 patches of x (B, C, H, W) into cols (C, 3, 3, B, rows, W).
-
-    The patches are those of output rows y0 .. y0 + rows - 1, a band of the
-    image, read from input rows y0 - 1 .. y0 + rows: a band packs its own
-    columns, with a one-row halo on each side.  Returns the
-    (C*9, B*rows*W) view: row c*9 + 3i + j holds channel c shifted by
-    (i-1, j-1), column (b*rows + y - y0)*W + x one output pixel.  Cells
-    that fall in the zero padding are never written, so cols must come
-    from _column_buffer; such a buffer stays valid across calls of one
-    shape and band.
+    _fill writes an image's cells at rows 1..H, columns 1..W and nothing
+    else, so the padding and the one spare row after it stay zero for as
+    long as the buffer is reused.  The spare row holds the cells past row
+    H+1 that the last tap's slice reaches.
     """
-    _, _, h, w = x.shape
-    rows = cols.shape[4]
-    xc = x.transpose(1, 0, 2, 3)
-    for i in range(3):
-        ## band row r reads input row y0 + r + i - 1, where that is inside the image
-        top = y0 + i - 1
-        lo, hi = max(0, -top), min(rows, h - top)
-        for j in range(3):
-            dst_x, src_x = _window(j - 1, w)
-            cols[:, i, j, :, lo:hi, dst_x] = xc[:, :, top + lo : top + hi, src_x]
-    return cols.reshape(cols.shape[0] * 9, -1)
+    return np.zeros((cin, (h + 3) * (w + 2)))
 
 
-def _column_buffer(cin: int, b: int, h: int, w: int) -> np.ndarray:
-    """An empty (C, 3, 3, B, H, W) column buffer with its padding cells zeroed.
+def _fill(pad: np.ndarray, image: np.ndarray) -> None:
+    """Write image (C, H, W) into the interior of a _pad_buffer."""
+    c, h, w = image.shape
+    pad.reshape(c, h + 3, w + 2)[:, 1 : h + 1, 1 : w + 1] = image
 
-    Those are the cells _pack_columns never writes: row 0 of the taps that
-    look one row up, row H-1 of those that look one row down, and likewise
-    column 0 and column W-1.  A band that does not touch the image's top or
-    bottom edge writes its rows 0 or H-1 over the zeros.
-    """
-    cols = np.empty((cin, 3, 3, b, h, w))
-    cols[:, 0, :, :, 0, :] = 0.0
-    cols[:, 2, :, :, -1, :] = 0.0
-    cols[:, :, 0, :, :, 0] = 0.0
-    cols[:, :, 2, :, :, -1] = 0.0
-    return cols
+
+def _shifts(w: int) -> list[tuple[int, int, int]]:
+    """(i, j, offset) of the nine taps: tap (i, j) of grid cell p reads flat cell p + offset."""
+    return [(i, j, i * (w + 2) + j) for i in range(3) for j in range(3)]
 
 
 def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Stride-1, same-size cross-correlation of x (B, C, H, W), without bias.
 
-    Returns a C-contiguous (B, Cout, H, W) array.  A 1x1 kernel needs no
-    packing: one channels-last GEMM over the whole batch, copied into NCHW
-    once.  A 3x3 kernel packs one image's columns at a time into a reused
-    buffer, so at most one image's 9x copy exists, and W @ cols writes that
-    image's NCHW rows in place.
+    Returns a C-contiguous (B, Cout, H, W) array.  A 1x1 kernel is one
+    channels-last GEMM over the whole batch, copied into NCHW once.  A 3x3
+    kernel runs image by image: the image is padded into a reused flat
+    buffer (_pad_buffer), and output grid cell p = y*(W+2) + x sums
+    W[:, :, i, j] @ pad[:, p + i*(W+2) + j] over the nine taps, tap by tap
+    in (i, j) order.  Each tap is one GEMM over a contiguous slice of the
+    buffer, H*(W+2) cells long; the two extra cells of each grid row are
+    dropped when the image's NCHW rows are written.
 
-    Inside cores.threaded(), an image of at least CONV_SPLIT_COLUMNS column
-    cells (C*9*H*W) has its output rows split into up to one band per
-    worker (_bands).  Each band packs only its rows' columns, with a
-    one-row halo, into its own buffer, and its GEMM writes that band's rows
-    of every image, so the bands' buffers together are one image's.  Each
-    output cell is the same dot product over C*9 either way, bitwise equal
-    to the unsplit one as long as OpenBLAS computes it with the same
-    kernel; see _bands.
+    The images are split between the workers (cores.run), each range with
+    its own buffers.  An image's operations do not depend on the range it
+    falls in, so the output is bitwise equal at every worker count.
     """
     cout, cin, k, _ = weight.shape
     b, _, h, w = x.shape
     if k == 1:
         out = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin) @ weight.reshape(cout, cin).T
         return np.ascontiguousarray(out.reshape(b, h, w, cout).transpose(0, 3, 1, 2))
-    wmat = weight.reshape(cout, cin * 9)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
+    cells = h * (w + 2)
+    shifts = _shifts(w)
     out = np.empty((b, cout, h, w))
-    out_rows = out.reshape(b, cout, h * w)
-    parts = cores.splitting() if cin * 9 * h * w >= CONV_SPLIT_COLUMNS else 1
-    unit, bands = _bands(h, w, cout * cin * 9, parts)
 
-    def band(i0: int, i1: int) -> None:
-        y0, y1 = i0 * unit, min(i1 * unit, h)
-        cols = _column_buffer(cin, 1, y1 - y0, w)
-        for n in range(b):
-            np.matmul(
-                wmat, _pack_columns(x[n : n + 1], cols, y0), out=out_rows[n, :, y0 * w : y1 * w]
-            )
+    def images(n0: int, n1: int) -> None:
+        pad = _pad_buffer(cin, h, w)
+        grid, part = np.empty((cout, cells)), np.empty((cout, cells))
+        for n in range(n0, n1):
+            _fill(pad, x[n])
+            ## tap (0, 0) reads from offset 0 and starts the sum
+            np.matmul(taps[0, 0], pad[:, :cells], out=grid)
+            for i, j, off in shifts[1:]:
+                grid += np.matmul(taps[i, j], pad[:, off : off + cells], out=part)
+            out[n] = grid.reshape(cout, h, w + 2)[:, :, :w]
 
-    cores.run(band, -(-h // unit), bands)
+    cores.run(images, b, b)
     return out
 
 
-def _bands(h: int, w: int, macs_per_pixel: int, parts: int) -> tuple[int, int]:
-    """(unit, bands): split H rows into at most `parts` bands of whole units.
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The 3x3 weight gradient (Cout, Cin, 3, 3) of x (B, Cin, H, W) and dy (B, Cout, H, W).
 
-    OpenBLAS computes a GEMM's columns in tiles of a fixed width, and its
-    narrower tail tile sums in another order; a unit of rows spans a
-    multiple of BAND_ALIGN pixels, which the tile widths divide, so every
-    band starts on a tile boundary of the whole image's GEMM.  Below
-    BAND_MACS multiply-adds OpenBLAS switches to a small-matrix kernel,
-    which sums a dot product longer than its K block in another order, so
-    every band, the shortest included, stays above that.
+    Tap (i, j) is dy_grid @ slice.T summed image by image, where slice is
+    the forward's operand of that tap and dy_grid holds dy on the same
+    H x (W+2) grid, zero in the two extra cells of each row, so that the
+    cells the forward drops add nothing.
     """
-    unit = BAND_ALIGN // math.gcd(BAND_ALIGN, w)
-    units = -(-h // unit)
-    for bands in range(min(parts, units), 1, -1):
-        ## the shortest band: its whole units, less the last unit's missing rows
-        shortest = (units // bands) * unit - (units * unit - h)
-        if shortest * w * macs_per_pixel >= BAND_MACS:
-            return unit, bands
-    return unit, 1
+    b, cin, h, w = x.shape
+    cout = dy.shape[1]
+    cells = h * (w + 2)
+    pad = _pad_buffer(cin, h, w)
+    grid = np.zeros((cout, h, w + 2))
+    dyg = grid.reshape(cout, cells)
+    dw = np.zeros((3, 3, cout, cin))
+    for n in range(b):
+        _fill(pad, x[n])
+        grid[:, :, :w] = dy[n]
+        for i, j, off in _shifts(w):
+            dw[i, j] += dyg @ pad[:, off : off + cells].T
+    return dw.transpose(2, 3, 0, 1)
 
 
 class Conv2d(Layer):
@@ -218,10 +188,10 @@ class Conv2d(Layer):
     Output and dx are C-contiguous NCHW whatever the layout of x and dy.
     Forward caches its input, so callers must not write to it before
     backward; a caller that rebuilds the input instead runs forward with
-    keep=False and passes it to backward.  Backward re-packs the whole
-    batch from it, so the weight gradient's sum over B*H*W stays one GEMM.
-    With input_grad=False, backward accumulates the parameter gradients and
-    returns None.
+    keep=False and passes it to backward.  A 3x3 backward runs the
+    forward's nine shifted GEMMs per image for the weight gradient
+    (_weight_grad), and builds no column matrix.  With input_grad=False,
+    backward accumulates the parameter gradients and returns None.
     """
 
     def __init__(
@@ -245,17 +215,17 @@ class Conv2d(Layer):
     def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray | None:
         x = self._x if x is None else x
         self._x = None
-        b, cin, h, w = x.shape
-        cout = self.weight.value.shape[0]
-        dyf = dy.transpose(0, 2, 3, 1).reshape(-1, cout)
         if self.kernel == 1:
-            cols_t = x.transpose(0, 2, 3, 1).reshape(-1, cin)
+            b, cin, h, w = x.shape
+            dyf = dy.transpose(0, 2, 3, 1).reshape(b * h * w, -1)
+            cols_t = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin)
+            self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
+            self.bias.grad += dyf.sum(axis=0)
+            ## the channels-last copies go before dx allocates its output
+            del cols_t, dyf
         else:
-            cols_t = _pack_columns(x, _column_buffer(cin, b, h, w)).T
-        self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
-        self.bias.grad += dyf.sum(axis=0)
-        ## the whole-batch columns go before dx packs its own
-        del cols_t, dyf
+            self.weight.grad += _weight_grad(x, dy)
+            self.bias.grad += dy.sum(axis=(0, 2, 3))
         if not self.input_grad:
             return None
         ## dx is itself a stride-1 convolution with spatially flipped,

@@ -168,13 +168,16 @@ def corrupt_to_probabilities(
     lo, hi = PROB_EPS, 1.0 - PROB_EPS
 
     seg = scene.seg_labels.astype(np.float64)
-    seg_probs = np.clip(seg + s_rng.normal(seg.shape) * seg_sigma, lo, hi)
+    ## a huge sigma overflows the noise to +-inf, which the clip maps to the bounds
+    with np.errstate(over="ignore"):
+        seg_probs = np.clip(seg + s_rng.normal(seg.shape) * seg_sigma, lo, hi)
     labels = scene.change_labels
 
     def corrupted(n: int, t: int, k: int) -> np.ndarray:
         label = labels.row(n, t, k).astype(np.float64)
         rng = SeededRng(c_seed).skip(n * 2 * label.size)
-        return np.clip(label + rng.normal(label.shape) * ch_sigma, lo, hi)
+        with np.errstate(over="ignore"):
+            return np.clip(label + rng.normal(label.shape) * ch_sigma, lo, hi)
 
     return seg_probs, PairMaps(labels.edges, corrupted)
 

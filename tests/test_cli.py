@@ -166,6 +166,30 @@ def test_synth_gen_invalid_spec_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+## an allocation the address space cannot hold: each ended in a MemoryError traceback
+UNALLOCATABLE = {
+    "synth_gen_long_series": ["synth-gen", "--t", "1000000000"],
+    "synth_gen_huge_raster": ["synth-gen", "--height", "100000", "--width", "100000"],
+    "ablate_long_corrupt_grid": ["ablate", "--config", "GRID"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE))
+def test_unallocatable_request_fails_with_one_error_line(tmp_path, case):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "scenes": {"spec": {"height": 16, "width": 16}, "val_seeds": [0]},
+        "grid": {"t": [1000000000]},
+        "corrupt": {"seg_sigma": [0.3], "ch_sigma": 0.25},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [grid if arg == "GRID" else arg for arg in UNALLOCATABLE[case]]
+    done = run_under_1gib([*argv, "--out", out])
+    assert done.stdout.split()[:1] == ["1"], done.stderr
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error:"), done.stderr
+    assert not out.exists()
+
+
 ## --------------------------------------------------------------------- train
 
 
@@ -1049,6 +1073,19 @@ def test_ablate_corrupted_truth(tmp_path, capsys):
         assert {f"{task}_{m}" for task in cli.TASKS for m in ("f1", "iou")} <= set(row)
     with open(out / "table.csv", encoding="utf-8", newline="") as fh:
         assert next(csv.reader(fh))[:4] == ["t", "seg_sigma", "ch_sigma", "mode"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_ablate_huge_sigma_runs_without_a_warning(tmp_path, capsys):
+    config = {
+        "scenes": {"spec": {"height": 16, "width": 16}, "val_seeds": [0]},
+        "grid": {"t": [3], "mti_modes": ["dense"]},
+        "corrupt": {"seg_sigma": [1e308], "ch_sigma": 1e308},
+    }
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(["ablate", "--config", cfg_path, "--out", tmp_path / "ablate"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 SCENE_DIRS = {"train_dirs": ["SCENE"], "val_dirs": ["SCENE"]}

@@ -12,6 +12,7 @@ import pytest
 
 from changeseries import cli, cores, layers, temporal
 from changeseries.backbone import BackboneConfig, save_checkpoint
+from changeseries.changefeat import EdgeSet
 from changeseries.layers import BatchNorm2d, BatchNormReLU, Conv2d
 from changeseries.model import ChangeModel, ModelConfig
 from changeseries.rng import SeededRng
@@ -39,8 +40,6 @@ def bits_equal(a, b):
 @pytest.fixture
 def split_everything(monkeypatch):
     """Split every layer that can split, whatever its size."""
-    monkeypatch.setattr(layers, "CONV_SPLIT_COLUMNS", 0)
-    monkeypatch.setattr(layers, "BAND_MACS", 0)
     monkeypatch.setattr(layers, "NORM_SPLIT_CELLS", 0)
     monkeypatch.setattr(temporal, "TILE_HIDDEN_BYTES", 0)
 
@@ -130,7 +129,7 @@ def test_run_raises_a_part_error_after_every_part_finished(monkeypatch):
     assert cores._pinned == 0
 
 
-## (B, C_in, C_out, H, W): odd H, H=2, H=1 (a single band), W=1, B=1
+## (B, C_in, C_out, H, W): odd H, H=2, H=1, W=1, B=1 (one image: nothing to split)
 CONV_CASES = [
     (2, 3, 4, 9, 64),
     (3, 5, 7, 33, 8),
@@ -152,29 +151,45 @@ def test_banded_conv_equals_the_unsplit_conv(monkeypatch, split_everything, case
         conv = Conv2d(cin, cout, 3, SeededRng(7))
         return at_workers(monkeypatch, n, lambda: (conv.forward(x), conv.backward(dy)))
 
-    ## outside a block the conv is the one-GEMM-per-image path
+    ## outside a block nothing splits, and BLAS keeps its own threads
     monkeypatch.setattr(cores, "WORKERS", 1)
     conv = Conv2d(cin, cout, 3, SeededRng(7))
     want_y, want_dx = conv.forward(x), conv.backward(dy)
     for n in WORKER_COUNTS:
-        unit, bands = layers._bands(h, w, cout * cin * 9, n)
-        assert bands == min(n, -(-h // unit))
         y, dx = run(n)
         assert bits_equal(y, want_y), n
         assert bits_equal(dx, want_dx), n
         assert y.flags.c_contiguous and dx.flags.c_contiguous
 
 
-def test_bands_keep_every_band_above_the_small_matrix_size():
-    ## 64-wide rows, 288 multiply-adds per pixel: a band needs 57 rows
-    assert layers._bands(128, 64, 288, 2) == (1, 2)
-    assert layers._bands(100, 64, 288, 2) == (1, 1)
-    assert layers._bands(171, 64, 288, 3) == (1, 3)
-    assert layers._bands(170, 64, 288, 3) == (1, 2)
-    ## 32-wide rows come in pairs, 64 pixels a unit; a band needs 2 rows,
-    ## and an odd H leaves the last band a row short
-    assert layers._bands(8, 32, 1 << 14, 4) == (2, 4)
-    assert layers._bands(7, 32, 1 << 14, 4) == (2, 2)
+@pytest.mark.parametrize("batch", [1, 5])
+def test_inference_split_by_image_equals_one_worker(monkeypatch, split_everything, batch):
+    ## B = 5 leaves ranges of unequal length at 2 and 3 workers; B = 1 has
+    ## one image, which one worker takes whole.  The model case runs T = 5
+    ## (dense edges: 5 segmentation and 10 change images), or T = 2 (one
+    ## change image) for B = 1
+    rng = SeededRng(70 + batch)
+    x = centered(rng, (batch, 4, 9, 12))
+    conv = Conv2d(4, 6, 3, SeededRng(9))
+    t_len = max(batch, 2)
+    images = centered(rng, (t_len, 3, 16, 16))
+    edges = EdgeSet("dense", t_len)
+    model = ChangeModel(ModelConfig(
+        backbone=BackboneConfig(scales=2, base_width=4, in_channels=3),
+        temporal=TemporalConfig(heads=2, layers=1),
+        seed=0,
+    ))
+
+    def run(n):
+        return at_workers(
+            monkeypatch, n,
+            lambda: (conv.forward(x, keep=False), *model.forward(images, edges, keep=False)),
+        )
+
+    want = run(1)
+    for n in WORKER_COUNTS[1:]:
+        for got, ref in zip(run(n), want):
+            assert bits_equal(got, ref), n
 
 
 def test_one_by_one_conv_never_splits(monkeypatch, split_everything):

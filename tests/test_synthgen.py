@@ -125,6 +125,16 @@ def test_probabilities_stay_in_open_interval():
         assert arr.max() <= 1.0 - PROB_EPS
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_sigma_clips_to_the_bounds_without_a_warning():
+    ## label + noise * 1e308 overflows to +-inf, which the clip maps to the bounds
+    scene = generate(small_spec(seed=7))
+    seg_probs, ch_probs = corrupt_to_probabilities(scene, 1e308, 1e308, seed=1)
+    for arr in [seg_probs, *ch_probs.values()]:
+        assert arr.min() >= PROB_EPS
+        assert arr.max() <= 1.0 - PROB_EPS
+
+
 def test_stack_probs_order():
     scene = generate(small_spec(seed=4))
     _, ch_probs = corrupt_to_probabilities(scene, 0.1, 0.1, seed=2)

@@ -693,7 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        ## overflow to inf or NaN is not a warning here: each command refuses
+        ## a non-finite result itself with one error line, or clips it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     ## numpy raises a MemoryError subclass for an allocation that cannot be met
     except (CliError, ValueError, KeyError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)

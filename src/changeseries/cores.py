@@ -1,12 +1,14 @@
 """One process-wide pool of threads for work split inside a layer.
 
 A layer that splits its work hands run() a function over index ranges:
-images of a 3x3 conv, channels of a BatchNorm, pixel tiles of the
+images of a conv, channels of a BatchNorm, pixel tiles of the
 temporal refiner or of the Markov decoders.  run() calls it once on the
 whole range, or on one contiguous range per part, the first on the calling
 thread and each other on a thread of the shared pool.  Every range writes
 its own part of an output the caller allocated, with the same operations
 the whole range would run, so results do not depend on the worker count.
+Each pool range runs in a copy of the caller's context, so numpy's error
+state (np.errstate, a contextvar) holds there as on the calling thread.
 No other module starts a thread.
 
 Work is split only inside a threaded() block, which the caller opens
@@ -30,6 +32,7 @@ exists before the first threaded() block.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 import threading
@@ -160,7 +163,8 @@ def run(fn, n: int, parts: int) -> None:
         return
     (lo, hi), *rest = ranges(n, parts)
     pool = _pool(workers() - 1)
-    futures = [pool.submit(fn, a, b) for a, b in rest]
+    ## one context cannot be entered by two threads at once: a copy per range
+    futures = [pool.submit(contextvars.copy_context().run, fn, a, b) for a, b in rest]
     _local.worker = True
     try:
         fn(lo, hi)

@@ -29,16 +29,17 @@ its norm outputs and its FFN hidden layer (temporal.py).  Each rebuild
 calls the helper the forward itself used, so it is bitwise equal to the
 array it replaces.
 
-Conv2d caches its input by reference, never a patch matrix: a 3x3 conv
-runs, in forward, dx and the weight gradient alike, as nine GEMMs over
-shifted slices of one zero-padded, flattened image at a time (_conv_raw),
-so no column matrix exists.  A conv built with input_grad=False (the
-network's first) skips dx, which no one reads.  Conv2d returns its output
-and dx C-contiguous, and BatchNormReLU keeps that layout, so every
-activation of a ConvBlock, forward and backward, is contiguous NCHW and
-each per-channel reduction and image copy reads memory in order.
+Conv2d caches its input by reference, never a patch matrix: every conv
+runs, in forward, dx and the weight gradient alike, as one GEMM per tap
+over shifted slices of one zero-padded, flattened image at a time
+(_conv_raw), nine for a 3x3 kernel and one for a 1x1, so no column matrix
+exists.  A conv built with input_grad=False (the network's first) skips
+dx, which no one reads.  Conv2d returns its output and dx C-contiguous,
+and BatchNormReLU keeps that layout, so every activation of a ConvBlock,
+forward and backward, is contiguous NCHW and each per-channel reduction
+and image copy reads memory in order.
 
-Inside cores.threaded() (ChangeModel's inference forward) a 3x3 conv
+Inside cores.threaded() (ChangeModel's inference forward) every conv
 splits its images and a large BatchNorm its channels, one part per
 worker.  Each part computes its cells with the same operations, in the
 same order, as the whole layer: an image's GEMMs have the same shapes on
@@ -96,39 +97,40 @@ def kaiming_uniform(rng: SeededRng, shape: tuple, fan_in: int) -> np.ndarray:
     return (rng.uniform(shape) * 2.0 - 1.0) * bound
 
 
-def _pad_buffer(cin: int, h: int, w: int) -> np.ndarray:
-    """A zeroed (C, (H+3)*(W+2)) buffer: each channel an (H+2, W+2) padded image, flat.
+def _pad_buffer(cin: int, h: int, w: int, k: int) -> np.ndarray:
+    """A zeroed (C, (H+k)*(W+k-1)) buffer: each channel a k//2-padded image and a spare row, flat.
 
-    _fill writes an image's cells at rows 1..H, columns 1..W and nothing
-    else, so the padding and the one spare row after it stay zero for as
-    long as the buffer is reused.  The spare row holds the cells past row
-    H+1 that the last tap's slice reaches.
+    _fill writes an image's cells inside the padding and nothing else, so
+    the padding and the spare row after it stay zero for as long as the
+    buffer is reused.  The spare row holds the cells past the padded image
+    that the last taps' slices reach.
     """
-    return np.zeros((cin, (h + 3) * (w + 2)))
+    return np.zeros((cin, (h + k) * (w + k - 1)))
 
 
-def _fill(pad: np.ndarray, image: np.ndarray) -> None:
-    """Write image (C, H, W) into the interior of a _pad_buffer."""
+def _fill(pad: np.ndarray, image: np.ndarray, k: int) -> None:
+    """Write image (C, H, W) into the interior of a _pad_buffer of kernel size k."""
     c, h, w = image.shape
-    pad.reshape(c, h + 3, w + 2)[:, 1 : h + 1, 1 : w + 1] = image
+    p = k // 2
+    pad.reshape(c, h + k, w + k - 1)[:, p : p + h, p : p + w] = image
 
 
-def _shifts(w: int) -> list[tuple[int, int, int]]:
-    """(i, j, offset) of the nine taps: tap (i, j) of grid cell p reads flat cell p + offset."""
-    return [(i, j, i * (w + 2) + j) for i in range(3) for j in range(3)]
+def _shifts(w: int, k: int) -> list[tuple[int, int, int]]:
+    """(i, j, offset) of the k*k taps: tap (i, j) of grid cell p reads flat cell p + offset."""
+    return [(i, j, i * (w + k - 1) + j) for i in range(k) for j in range(k)]
 
 
 def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Stride-1, same-size cross-correlation of x (B, C, H, W), without bias.
 
-    Returns a C-contiguous (B, Cout, H, W) array.  A 1x1 kernel is one
-    channels-last GEMM over the whole batch, copied into NCHW once.  A 3x3
-    kernel runs image by image: the image is padded into a reused flat
-    buffer (_pad_buffer), and output grid cell p = y*(W+2) + x sums
-    W[:, :, i, j] @ pad[:, p + i*(W+2) + j] over the nine taps, tap by tap
+    Returns a C-contiguous (B, Cout, H, W) array.  A k x k kernel runs image
+    by image: the image is padded by k//2 into a reused flat buffer
+    (_pad_buffer), and output grid cell p = y*(W+k-1) + x sums
+    W[:, :, i, j] @ pad[:, p + i*(W+k-1) + j] over the k*k taps, tap by tap
     in (i, j) order.  Each tap is one GEMM over a contiguous slice of the
-    buffer, H*(W+2) cells long; the two extra cells of each grid row are
-    dropped when the image's NCHW rows are written.
+    buffer, H*(W+k-1) cells long; the k-1 extra cells of each grid row are
+    dropped when the image's NCHW rows are written.  A 1x1 kernel is the
+    one-tap case: no padding, no extra cells.
 
     The images are split between the workers (cores.run), each range with
     its own buffers.  An image's operations do not depend on the range it
@@ -136,48 +138,45 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """
     cout, cin, k, _ = weight.shape
     b, _, h, w = x.shape
-    if k == 1:
-        out = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin) @ weight.reshape(cout, cin).T
-        return np.ascontiguousarray(out.reshape(b, h, w, cout).transpose(0, 3, 1, 2))
     taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
-    cells = h * (w + 2)
-    shifts = _shifts(w)
+    cells = h * (w + k - 1)
+    shifts = _shifts(w, k)
     out = np.empty((b, cout, h, w))
 
     def images(n0: int, n1: int) -> None:
-        pad = _pad_buffer(cin, h, w)
+        pad = _pad_buffer(cin, h, w, k)
         grid, part = np.empty((cout, cells)), np.empty((cout, cells))
         for n in range(n0, n1):
-            _fill(pad, x[n])
+            _fill(pad, x[n], k)
             ## tap (0, 0) reads from offset 0 and starts the sum
             np.matmul(taps[0, 0], pad[:, :cells], out=grid)
             for i, j, off in shifts[1:]:
                 grid += np.matmul(taps[i, j], pad[:, off : off + cells], out=part)
-            out[n] = grid.reshape(cout, h, w + 2)[:, :, :w]
+            out[n] = grid.reshape(cout, h, w + k - 1)[:, :, :w]
 
     cores.run(images, b, b)
     return out
 
 
-def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """The 3x3 weight gradient (Cout, Cin, 3, 3) of x (B, Cin, H, W) and dy (B, Cout, H, W).
+def _weight_grad(x: np.ndarray, dy: np.ndarray, k: int) -> np.ndarray:
+    """The weight gradient (Cout, Cin, k, k) of x (B, Cin, H, W) and dy (B, Cout, H, W).
 
     Tap (i, j) is dy_grid @ slice.T summed image by image, where slice is
     the forward's operand of that tap and dy_grid holds dy on the same
-    H x (W+2) grid, zero in the two extra cells of each row, so that the
+    H x (W+k-1) grid, zero in the k-1 extra cells of each row, so that the
     cells the forward drops add nothing.
     """
     b, cin, h, w = x.shape
     cout = dy.shape[1]
-    cells = h * (w + 2)
-    pad = _pad_buffer(cin, h, w)
-    grid = np.zeros((cout, h, w + 2))
+    cells = h * (w + k - 1)
+    pad = _pad_buffer(cin, h, w, k)
+    grid = np.zeros((cout, h, w + k - 1))
     dyg = grid.reshape(cout, cells)
-    dw = np.zeros((3, 3, cout, cin))
+    dw = np.zeros((k, k, cout, cin))
     for n in range(b):
-        _fill(pad, x[n])
+        _fill(pad, x[n], k)
         grid[:, :, :w] = dy[n]
-        for i, j, off in _shifts(w):
+        for i, j, off in _shifts(w, k):
             dw[i, j] += dyg @ pad[:, off : off + cells].T
     return dw.transpose(2, 3, 0, 1)
 
@@ -188,10 +187,10 @@ class Conv2d(Layer):
     Output and dx are C-contiguous NCHW whatever the layout of x and dy.
     Forward caches its input, so callers must not write to it before
     backward; a caller that rebuilds the input instead runs forward with
-    keep=False and passes it to backward.  A 3x3 backward runs the
-    forward's nine shifted GEMMs per image for the weight gradient
-    (_weight_grad), and builds no column matrix.  With input_grad=False,
-    backward accumulates the parameter gradients and returns None.
+    keep=False and passes it to backward.  Backward runs the forward's
+    shifted GEMMs per image for the weight gradient (_weight_grad), and
+    builds no column matrix.  With input_grad=False, backward accumulates
+    the parameter gradients and returns None.
     """
 
     def __init__(
@@ -199,7 +198,6 @@ class Conv2d(Layer):
     ):
         if kernel not in (1, 3):
             raise ValueError("only 1x1 and 3x3 kernels are supported")
-        self.kernel = kernel
         self.input_grad = input_grad
         fan_in = cin * kernel * kernel
         self.weight = Param(kaiming_uniform(rng, (cout, cin, kernel, kernel), fan_in))
@@ -215,17 +213,8 @@ class Conv2d(Layer):
     def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray | None:
         x = self._x if x is None else x
         self._x = None
-        if self.kernel == 1:
-            b, cin, h, w = x.shape
-            dyf = dy.transpose(0, 2, 3, 1).reshape(b * h * w, -1)
-            cols_t = x.transpose(0, 2, 3, 1).reshape(b * h * w, cin)
-            self.weight.grad += (dyf.T @ cols_t).reshape(self.weight.value.shape)
-            self.bias.grad += dyf.sum(axis=0)
-            ## the channels-last copies go before dx allocates its output
-            del cols_t, dyf
-        else:
-            self.weight.grad += _weight_grad(x, dy)
-            self.bias.grad += dy.sum(axis=(0, 2, 3))
+        self.weight.grad += _weight_grad(x, dy, self.weight.value.shape[2])
+        self.bias.grad += dy.sum(axis=(0, 2, 3))
         if not self.input_grad:
             return None
         ## dx is itself a stride-1 convolution with spatially flipped,

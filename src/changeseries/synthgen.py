@@ -56,8 +56,9 @@ class SceneSpec(JsonConfig):
             raise ValueError("a scene needs at least 2 timestamps")
         if self.height < 1 or self.width < 1 or self.channels < 1:
             raise ValueError("scene extents must be positive")
-        if self.n_buildings < 0:
-            raise ValueError("n_buildings must be >= 0")
+        ## more buildings than pixels only repaint pixels, at O(n_buildings * T)
+        if not 0 <= self.n_buildings <= self.height * self.width:
+            raise ValueError("n_buildings must lie in [0, height * width]")
         if self.min_extent < 2:
             raise ValueError("building extents must be at least 2 pixels")
         if self.max_extent < self.min_extent:

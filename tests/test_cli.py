@@ -158,12 +158,26 @@ def test_synth_gen_corrupt_seed_defaults_to_seed_plus_one(clean_scene_dir, tmp_p
     assert read_manifest(explicit)["config"]["corrupt_seed"] == 7
 
 
-def test_synth_gen_invalid_spec_fails_cleanly(tmp_path, capsys):
+## a billion buildings used to hang in the building loop before any check
+@pytest.mark.parametrize(
+    "flags", [["--min-extent", "9", "--max-extent", "6"], ["--buildings", "1000000000"]],
+    ids=["extents", "buildings"],
+)
+def test_synth_gen_invalid_spec_fails_cleanly(tmp_path, capsys, flags):
     out = tmp_path / "bad"
-    argv = ["synth-gen", "--min-extent", "9", "--max-extent", "6", "--out", out]
-    assert run_cli(argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert run_cli(["synth-gen", *flags, "--out", out]) == 1
+    assert_one_error_line(capsys)
     assert not out.exists()
+
+
+## label + noise * 1e308 overflows to inf, which the clip maps into [0, 1]
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--noise-sigma", "--illumination-jitter"])
+def test_synth_gen_overflowing_noise_runs_without_a_warning(tmp_path, capsys, flag):
+    argv = ["synth-gen", "--t", "2", "--height", "16", "--width", "16", "--buildings", "2",
+            "--min-extent", "3", "--max-extent", "6", flag, "1e308", "--out", tmp_path / "s"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 ## an allocation the address space cannot hold: each ended in a MemoryError traceback
@@ -684,6 +698,21 @@ def _refuse_forward(*args, **kwargs):
     raise AssertionError("an unfit scene must be refused before any forward")
 
 
+## an overflowing step used to print numpy's warnings before the error line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--lr", "1e30"], ["--lr", "1e308"],
+                                   ["--weight-decay", "1e308"]], ids=" ".join)
+def test_train_overflow_fails_on_one_line(tmp_path, clean_scene_dir, capsys, flags):
+    out = tmp_path / "run"
+    argv = ["train", "--scenes", clean_scene_dir, "--val-scenes", clean_scene_dir,
+            "--scales", "2", "--base-width", "4", "--heads", "2", "--attn-layers", "1",
+            "--t-train", "2", "--patch-size", "8", "--batch-size", "1", "--max-epochs", "2",
+            "--steps-per-epoch", "2", *flags, "--out", out]
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
 ## name -> (synth-gen flags of the unfit scene, whether it trains or validates, the error)
 UNFIT_SCENE_DIRS = {
     "val_one_channel": (["--channels", "1"], "--val-scenes", "has 1 channels"),
@@ -1120,6 +1149,12 @@ ABLATE_CONFIGS = {
     "loss_edges_unknown": ({"grid": {"loss_edges": ["adjacent", "sideways"]}}, "'sideways'"),
     "t_float": ({"grid": {"t": [3.9]}}, "AblateConfig.grid.t[0]: expected int"),
     "t_too_short": ({"grid": {"t": [3, 1]}}, "t_train must be >= 2"),
+    ## more buildings than pixels used to hang in the building loop
+    "buildings_exceed_pixels": (
+        {"scenes": {"spec": {**tiny_spec_jsonable(), "n_buildings": 2**40},
+                    "train_seeds": [0], "val_seeds": [1]}},
+        "n_buildings",
+    ),
     ## grid t is the one series length; scenes.t was ignored outside checkpoint mode
     "scenes_t_removed": (
         {"scenes": {"spec": tiny_spec_jsonable(), "t": 3, "train_seeds": [0],

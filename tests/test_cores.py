@@ -129,6 +129,17 @@ def test_run_raises_a_part_error_after_every_part_finished(monkeypatch):
     assert cores._pinned == 0
 
 
+@needs_blas
+def test_run_keeps_the_callers_error_state_on_the_pool(monkeypatch):
+    ## numpy's error state is a contextvar, which a pool thread does not inherit
+    def part(lo, hi):
+        if lo:
+            np.exp(np.array([1000.0]))
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        at_workers(monkeypatch, 2, lambda: cores.run(part, 2, cores.splitting()))
+
+
 ## (B, C_in, C_out, H, W): odd H, H=2, H=1, W=1, B=1 (one image: nothing to split)
 CONV_CASES = [
     (2, 3, 4, 9, 64),
@@ -171,6 +182,7 @@ def test_inference_split_by_image_equals_one_worker(monkeypatch, split_everythin
     rng = SeededRng(70 + batch)
     x = centered(rng, (batch, 4, 9, 12))
     conv = Conv2d(4, 6, 3, SeededRng(9))
+    head = Conv2d(4, 2, 1, SeededRng(8))
     t_len = max(batch, 2)
     images = centered(rng, (t_len, 3, 16, 16))
     edges = EdgeSet("dense", t_len)
@@ -183,25 +195,14 @@ def test_inference_split_by_image_equals_one_worker(monkeypatch, split_everythin
     def run(n):
         return at_workers(
             monkeypatch, n,
-            lambda: (conv.forward(x, keep=False), *model.forward(images, edges, keep=False)),
+            lambda: (conv.forward(x, keep=False), head.forward(x, keep=False),
+                     *model.forward(images, edges, keep=False)),
         )
 
     want = run(1)
     for n in WORKER_COUNTS[1:]:
         for got, ref in zip(run(n), want):
             assert bits_equal(got, ref), n
-
-
-def test_one_by_one_conv_never_splits(monkeypatch, split_everything):
-    rng = SeededRng(31)
-    x = centered(rng, (3, 5, 9, 64))
-    conv = Conv2d(5, 4, 1, SeededRng(8))
-    want = conv.forward(x, keep=False)
-    calls = []
-    monkeypatch.setattr(cores, "run", lambda *a: calls.append(a))
-    for n in WORKER_COUNTS:
-        assert bits_equal(at_workers(monkeypatch, n, lambda: conv.forward(x, keep=False)), want)
-    assert calls == []
 
 
 @pytest.mark.parametrize("channels", [1, 2, 5, 7])

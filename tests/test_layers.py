@@ -77,53 +77,53 @@ def im2col_conv_oracle(conv, x, dy):
     )
 
 
-def flat_padded(image):
-    """(C, H, W) -> (C, (H+3)*(W+2)): zero padding of one cell and a spare row, flat."""
-    c = image.shape[0]
-    return np.pad(image, ((0, 0), (1, 2), (1, 1))).reshape(c, -1)
+def flat_padded(image, k):
+    """(C, H, W) -> (C, (H+k)*(W+k-1)): zero padding of k//2 cells and a spare row, flat."""
+    c, p = image.shape[0], k // 2
+    return np.pad(image, ((0, 0), (p, p + 1), (p, p))).reshape(c, -1)
 
 
 def shifted_taps_oracle(x, weight):
-    """3x3 cross-correlation image by image, one GEMM per tap over a shifted flat slice.
+    """k x k cross-correlation image by image, one GEMM per tap over a shifted flat slice.
 
-    Grid cell y*(W+2) + x sums the taps in (i, j) order; the two extra cells
-    of each grid row are dropped.
+    Grid cell y*(W+k-1) + x sums the taps in (i, j) order; the k-1 extra
+    cells of each grid row are dropped.
     """
     b, _, h, w = x.shape
-    cout = weight.shape[0]
-    cells = h * (w + 2)
+    cout, _, k, _ = weight.shape
+    cells = h * (w + k - 1)
     out = np.empty((b, cout, h, w))
     for n in range(b):
-        xp = flat_padded(x[n])
+        xp = flat_padded(x[n], k)
         acc = None
-        for i in range(3):
-            for j in range(3):
-                off = i * (w + 2) + j
+        for i in range(k):
+            for j in range(k):
+                off = i * (w + k - 1) + j
                 term = np.ascontiguousarray(weight[:, :, i, j]) @ xp[:, off : off + cells]
                 acc = term if acc is None else acc + term
-        out[n] = acc.reshape(cout, h, w + 2)[:, :, :w]
+        out[n] = acc.reshape(cout, h, w + k - 1)[:, :, :w]
     return out
 
 
 def shifted_taps_conv_oracle(conv, x, dy):
-    """Forward, weight grad, bias grad and dx of a 3x3 conv by shifted GEMMs.
+    """Forward, weight grad, bias grad and dx of a k x k conv by shifted GEMMs.
 
     The weight gradient of tap (i, j) sums dy_grid @ slice.T image by
     image, dy_grid being dy on the forward's grid with its extra cells zero.
     """
     weight = conv.weight.value
     b, _, h, w = x.shape
-    cout = weight.shape[0]
-    cells = h * (w + 2)
+    cout, _, k, _ = weight.shape
+    cells = h * (w + k - 1)
     y = shifted_taps_oracle(x, weight)
     y += conv.bias.value[:, None, None]
     dw = np.zeros(weight.shape)
     for n in range(b):
-        xp = flat_padded(x[n])
-        dy_grid = np.pad(dy[n], ((0, 0), (0, 0), (0, 2))).reshape(cout, cells)
-        for i in range(3):
-            for j in range(3):
-                off = i * (w + 2) + j
+        xp = flat_padded(x[n], k)
+        dy_grid = np.pad(dy[n], ((0, 0), (0, 0), (0, k - 1))).reshape(cout, cells)
+        for i in range(k):
+            for j in range(k):
+                off = i * (w + k - 1) + j
                 dw[:, :, i, j] += dy_grid @ xp[:, off : off + cells].T
     wflip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     return y, dw, dy.sum(axis=(0, 2, 3)), shifted_taps_oracle(dy, wflip)
@@ -165,10 +165,10 @@ def test_conv_matches_loop_oracle(kernel):
 @pytest.mark.parametrize("batch", [6, 15])
 @pytest.mark.parametrize("shape", MODEL_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_conv_bitwise_equals_im2col_gemm(shape, batch):
-    ## a 1x1 conv runs the whole-batch im2col products row for row, and a
-    ## 3x3 conv the per-image tap GEMMs of shifted_taps_conv_oracle, summed
-    ## in the same order.  Only the model's desk shapes are held to bit
-    ## equality: OpenBLAS's kernel choice follows the GEMM's shape
+    ## every conv runs the per-image tap GEMMs of shifted_taps_conv_oracle,
+    ## summed in the same order: nine for a 3x3 kernel, one for the 1x1 head.
+    ## Only the model's desk shapes are held to bit equality:
+    ## OpenBLAS's kernel choice follows the GEMM's shape
     cin, cout, kernel, extent = shape
     rng = SeededRng(cin * 100 + cout + batch)
     conv = Conv2d(cin, cout, kernel, rng)
@@ -177,8 +177,7 @@ def test_conv_bitwise_equals_im2col_gemm(shape, batch):
     dy = centered(rng, (batch, cout, extent, extent))
     y = conv.forward(x)
     dx = conv.backward(dy)
-    oracle = im2col_conv_oracle if kernel == 1 else shifted_taps_conv_oracle
-    want_y, want_dw, want_db, want_dx = oracle(conv, x, dy)
+    want_y, want_dw, want_db, want_dx = shifted_taps_conv_oracle(conv, x, dy)
     assert np.array_equal(y, want_y)
     assert np.array_equal(conv.weight.grad, want_dw)
     assert np.array_equal(conv.bias.grad, want_db)
@@ -498,21 +497,22 @@ def test_pad_buffer_reads_zero_outside_the_image(monkeypatch, extent):
     ## weight gradient multiplies dy's zero grid cells by the padding and the
     ## spare row, and 0 * NaN is NaN
     monkeypatch.setattr(layers, "np", NanEmpty())
-    rng = SeededRng(93 + extent)
-    conv = Conv2d(3, 4, 3, rng)
-    x = centered(rng, (3, 3, extent, extent + 1))
-    dy = centered(rng, (3, 4, extent, extent + 1))
-    y = conv.forward(x)
-    dx = conv.backward(dy)
-    want_y, want_dw, want_db, want_dx = im2col_conv_oracle(conv, x, dy)
-    assert np.allclose(y, want_y, rtol=0, atol=1e-12)
-    assert np.allclose(conv.weight.grad, want_dw, rtol=0, atol=1e-12)
-    assert np.allclose(dx, want_dx, rtol=0, atol=1e-12)
-    ## a reused buffer: each image overwrites the last one's cells and no others
-    pad = layers._pad_buffer(3, extent, extent + 1)
-    for image in x:
-        layers._fill(pad, image)
-        assert np.array_equal(pad, flat_padded(image))
+    for k in (1, 3):
+        rng = SeededRng(93 + extent + k)
+        conv = Conv2d(3, 4, k, rng)
+        x = centered(rng, (3, 3, extent, extent + 1))
+        dy = centered(rng, (3, 4, extent, extent + 1))
+        y = conv.forward(x)
+        dx = conv.backward(dy)
+        want_y, want_dw, want_db, want_dx = im2col_conv_oracle(conv, x, dy)
+        assert np.allclose(y, want_y, rtol=0, atol=1e-12), k
+        assert np.allclose(conv.weight.grad, want_dw, rtol=0, atol=1e-12), k
+        assert np.allclose(dx, want_dx, rtol=0, atol=1e-12), k
+        ## a reused buffer: each image overwrites the last one's cells and no others
+        pad = layers._pad_buffer(3, extent, extent + 1, k)
+        for image in x:
+            layers._fill(pad, image, k)
+            assert np.array_equal(pad, flat_padded(image, k)), k
 
 
 def test_gradients_accumulate_across_backward_calls():

@@ -206,6 +206,9 @@ def test_adjacent_stack_draws_only_its_rows(monkeypatch):
         dict(noise_sigma=-0.1),
         dict(illumination_jitter=-0.5),
         dict(demolition_rate=1.5),
+        ## more buildings than pixels; a billion used to hang the building loop
+        dict(n_buildings=32 * 32 + 1),
+        dict(n_buildings=10**9),
     ],
 )
 def test_spec_validation(kw):

@@ -27,7 +27,7 @@ from . import __version__
 from .backbone import BackboneConfig, load_checkpoint, save_checkpoint
 from .changefeat import EDGE_KINDS, EdgeSet, PairMaps, XorChanges, build_edge_set
 from .jsonconfig import JsonConfig
-from .markov import MODES, integrate
+from .markov import MODES, T_MAX, integrate
 from .model import ChangeModel, ModelConfig, check_records
 from .objective import TASKS, check_binary, evaluate, threshold_probs
 from .synthgen import Scene, SceneSpec, corrupt_to_probabilities, generate, stack_probs
@@ -434,6 +434,9 @@ class GridConfig(JsonConfig):
         for mode in self.mti_modes:
             if mode not in MODES:
                 raise ValueError(f"unknown fusion mode {mode!r}")
+        ## dense fusion enumerates 2^t assignments and refuses t > T_MAX
+        if "dense" in self.mti_modes and max(self.t) > T_MAX:
+            raise ValueError(f"grid mti_modes dense caps t at {T_MAX}, got t {max(self.t)}")
 
 
 @dataclass(frozen=True)
@@ -472,8 +475,9 @@ class CorruptConfig(JsonConfig):
     def __post_init__(self):
         if not self.seg_sigma:
             raise ValueError("corrupt seg_sigma lists nothing")
-        if any(sigma < 0 for sigma in (*self.seg_sigma, self.ch_sigma)):
-            raise ValueError("corruption sigmas must be >= 0")
+        for name, sigmas in (("seg_sigma", self.seg_sigma), ("ch_sigma", (self.ch_sigma,))):
+            if not all(sigma >= 0 for sigma in sigmas):
+                raise ValueError(f"corruption sigmas must be >= 0, got {name} {list(sigmas)}")
 
 
 @dataclass(frozen=True)
@@ -699,7 +703,8 @@ def main(argv=None) -> int:
             return args.func(args)
     ## numpy raises a MemoryError subclass for an allocation that cannot be met
     except (CliError, ValueError, KeyError, OSError, MemoryError, TrainingDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        ## a MemoryError from Python's own allocator has no text: name its type
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

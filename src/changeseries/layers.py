@@ -29,24 +29,24 @@ its norm outputs and its FFN hidden layer (temporal.py).  Each rebuild
 calls the helper the forward itself used, so it is bitwise equal to the
 array it replaces.
 
-Conv2d caches its input by reference, never a patch matrix: every conv
-runs, in forward, dx and the weight gradient alike, as one GEMM per tap
-over shifted slices of one zero-padded, flattened image at a time
-(_conv_raw), nine for a 3x3 kernel and one for a 1x1, so no column matrix
-exists.  A conv built with input_grad=False (the network's first) skips
-dx, which no one reads.  Conv2d returns its output and dx C-contiguous,
-and BatchNormReLU keeps that layout, so every activation of a ConvBlock,
-forward and backward, is contiguous NCHW and each per-channel reduction
-and image copy reads memory in order.
+Conv2d caches its input by reference, never a patch matrix: every conv,
+TransposeConv2x2 included, runs forward, dx and the weight gradient as one
+GEMM per tap over shifted slices of one zero-padded, flattened image at a
+time (_conv_raw): nine for a 3x3 kernel, one for a 1x1 or a transpose
+conv, so no column matrix exists.  A conv built with input_grad=False (the
+network's first) skips dx, which no one reads.  Conv2d returns its output
+and dx C-contiguous, and BatchNormReLU keeps that layout, so every
+activation of a ConvBlock, forward and backward, is contiguous NCHW and
+each per-channel reduction and image copy reads memory in order.
 
-Inside cores.threaded() (ChangeModel's inference forward) every conv
-splits its images and a large BatchNorm its channels, one part per
-worker.  Each part computes its cells with the same operations, in the
-same order, as the whole layer: an image's GEMMs have the same shapes on
-any thread, and every BatchNorm part holds two channels or more
-(_channel_parts).  So the output is bitwise equal at every worker count.
-A threshold (NORM_SPLIT_CELLS) keeps small BatchNorms, which lose to the
-hand-off, whole.
+Inside cores.threaded() (ChangeModel's inference forward) every conv,
+transpose ones too, splits its images and a large BatchNorm its channels,
+one part per worker.  Each part computes its cells with the same
+operations, in the same order, as the whole layer: an image's GEMMs have
+the same shapes on any thread, and every BatchNorm part holds two channels
+or more (_channel_parts).  So the output is bitwise equal at every worker
+count.  A threshold (NORM_SPLIT_CELLS) keeps small BatchNorms, which lose
+to the hand-off, whole.
 
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
@@ -120,10 +120,11 @@ def _shifts(w: int, k: int) -> list[tuple[int, int, int]]:
     return [(i, j, i * (w + k - 1) + j) for i in range(k) for j in range(k)]
 
 
-def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _conv_raw(x: np.ndarray, weight: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Stride-1, same-size cross-correlation of x (B, C, H, W), without bias.
 
-    Returns a C-contiguous (B, Cout, H, W) array.  A k x k kernel runs image
+    Returns a new C-contiguous (B, Cout, H, W) array, or out, any array whose
+    out[n] reshapes image n's (Cout, H, W) cells.  A k x k kernel runs image
     by image: the image is padded by k//2 into a reused flat buffer
     (_pad_buffer), and output grid cell p = y*(W+k-1) + x sums
     W[:, :, i, j] @ pad[:, p + i*(W+k-1) + j] over the k*k taps, tap by tap
@@ -141,7 +142,7 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))
     cells = h * (w + k - 1)
     shifts = _shifts(w, k)
-    out = np.empty((b, cout, h, w))
+    out = np.empty((b, cout, h, w)) if out is None else out
 
     def images(n0: int, n1: int) -> None:
         pad = _pad_buffer(cin, h, w, k)
@@ -152,7 +153,7 @@ def _conv_raw(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
             np.matmul(taps[0, 0], pad[:, :cells], out=grid)
             for i, j, off in shifts[1:]:
                 grid += np.matmul(taps[i, j], pad[:, off : off + cells], out=part)
-            out[n] = grid.reshape(cout, h, w + k - 1)[:, :, :w]
+            out[n] = grid.reshape(*out.shape[1:-1], w + k - 1)[..., :w]
 
     cores.run(images, b, b)
     return out
@@ -224,7 +225,11 @@ class Conv2d(Layer):
 
 
 class TransposeConv2x2(Layer):
-    """2x2 transpose convolution with stride 2: doubles H and W."""
+    """2x2 transpose convolution with stride 2: doubles H and W.
+
+    A 1x1 conv on the weight read as a (4*Cout, Cin) kernel, whose channel
+    (d, i, j) at pixel (h, w) is written to channel d at pixel (2h+i, 2w+j).
+    """
 
     def __init__(self, cin: int, cout: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (cin, cout, 2, 2), cin * 4))
@@ -233,19 +238,20 @@ class TransposeConv2x2(Layer):
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         self._x = x if keep else None
-        b, _, h, w = x.shape
-        cout = self.weight.value.shape[1]
-        y = np.einsum("bchw,cdij->bdhiwj", x, self.weight.value, optimize=True)
-        return y.reshape(b, cout, 2 * h, 2 * w) + self.bias.value[None, :, None, None]
+        (b, cin, h, w), cout = x.shape, self.weight.value.shape[1]
+        y = np.empty((b, cout, 2 * h, 2 * w))
+        kernel = self.weight.value.reshape(cin, 4 * cout, 1, 1).transpose(1, 0, 2, 3)
+        _conv_raw(x, kernel, y.reshape(b, cout, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4))
+        y += self.bias.value[:, None, None]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, cout, h2, w2 = dy.shape
-        dyr = dy.reshape(b, cout, h2 // 2, 2, w2 // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        ## dyr: (b, d, h, w, i, j)
         x, self._x = self._x, None
-        self.weight.grad += np.einsum("bchw,bdhwij->cdij", x, dyr, optimize=True)
+        (b, cin, h, w), cout = x.shape, dy.shape[1]
+        dy4 = dy.reshape(b, cout, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, -1, h, w)
+        self.weight.grad += _weight_grad(x, dy4, 1)[:, :, 0, 0].T.reshape(cin, cout, 2, 2)
         self.bias.grad += dy.sum(axis=(0, 2, 3))
-        return np.einsum("bdhwij,cdij->bchw", dyr, self.weight.value, optimize=True)
+        return _conv_raw(dy4, self.weight.value.reshape(cin, 4 * cout, 1, 1))
 
 
 def _channel_parts(x: np.ndarray) -> int:

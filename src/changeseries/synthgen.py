@@ -65,10 +65,10 @@ class SceneSpec(JsonConfig):
             raise ValueError("max_extent must be >= min_extent")
         if self.max_extent > self.height or self.max_extent > self.width:
             raise ValueError("buildings may not exceed the scene extent")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if self.illumination_jitter < 0:
-            raise ValueError("illumination_jitter must be >= 0")
+        ## written so that NaN fails; an infinite sigma clips to the bounds
+        for name in ("noise_sigma", "illumination_jitter"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.demolition_rate <= 1.0:
             raise ValueError("demolition_rate must lie in [0, 1]")
 
@@ -161,8 +161,9 @@ def corrupt_to_probabilities(
     uniforms per normal), so it equals the row a lexicographic loop over all
     pairs would have drawn.
     """
-    if seg_sigma < 0 or ch_sigma < 0:
-        raise ValueError("corruption sigmas must be >= 0")
+    for name, sigma in (("seg_sigma", seg_sigma), ("ch_sigma", ch_sigma)):
+        if not sigma >= 0:
+            raise ValueError(f"corruption sigmas must be >= 0, got {name} {sigma}")
     root = SeededRng(seed)
     s_rng = root.derive(_STREAM_SEG_CORRUPT)
     c_seed = root.derive(_STREAM_CH_CORRUPT).seed

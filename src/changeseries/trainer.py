@@ -44,13 +44,15 @@ class TrainConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be >= 0")
-        if min(self.batch_size, self.max_epochs, self.steps_per_epoch, self.patience) < 1:
-            raise ValueError("batch_size, max_epochs, steps_per_epoch, patience must be >= 1")
-        if self.candidate_crops < 1:
-            raise ValueError("candidate_crops must be >= 1")
-        if self.base_prob <= 0:
+        ## each range check is written so that NaN fails it
+        for name in ("lr", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("batch_size", "max_epochs", "steps_per_epoch", "patience", "patch_size",
+                     "candidate_crops"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.base_prob > 0:
             raise ValueError("base_prob must be > 0")
         if self.t_train < 2:
             raise ValueError("t_train must be >= 2")

@@ -160,8 +160,9 @@ def test_synth_gen_corrupt_seed_defaults_to_seed_plus_one(clean_scene_dir, tmp_p
 
 ## a billion buildings used to hang in the building loop before any check
 @pytest.mark.parametrize(
-    "flags", [["--min-extent", "9", "--max-extent", "6"], ["--buildings", "1000000000"]],
-    ids=["extents", "buildings"],
+    "flags", [["--min-extent", "9", "--max-extent", "6"], ["--buildings", "1000000000"],
+              ["--noise-sigma", "nan"], ["--illumination-jitter", "nan"], ["--seg-noise", "nan"]],
+    ids=["extents", "buildings", "noise_nan", "jitter_nan", "seg_noise_nan"],
 )
 def test_synth_gen_invalid_spec_fails_cleanly(tmp_path, capsys, flags):
     out = tmp_path / "bad"
@@ -713,6 +714,35 @@ def test_train_overflow_fails_on_one_line(tmp_path, clean_scene_dir, capsys, fla
     assert not out.exists()
 
 
+## a patch below one pixel printed numpy's empty-slice warnings before its
+## error, and a NaN lr took a training step
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags", [["--patch-size", "0"], ["--patch-size", "-8"],
+                                   ["--lr", "nan"], ["--weight-decay", "nan"]], ids=" ".join)
+def test_train_refuses_malformed_flag_before_any_step(tmp_path, clean_scene_dir, capsys,
+                                                      monkeypatch, flags):
+    monkeypatch.setattr(cli, "train", _no_work)
+    out = tmp_path / "run"
+    argv = ["train", "--scenes", clean_scene_dir, "--val-scenes", clean_scene_dir, *flags,
+            "--out", out]
+    assert run_cli(argv) == 1
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_bare_memory_error_names_itself(tmp_path, capsys, monkeypatch):
+    ## a MemoryError from Python's own allocator carries no text
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_synth_gen", out_of_memory)
+    out = tmp_path / "scene"
+    assert run_cli(["synth-gen", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err[7:].strip(), err
+    assert not out.exists()
+
+
 ## name -> (synth-gen flags of the unfit scene, whether it trains or validates, the error)
 UNFIT_SCENE_DIRS = {
     "val_one_channel": (["--channels", "1"], "--val-scenes", "has 1 channels"),
@@ -1218,6 +1248,14 @@ ABLATE_CONFIGS = {
     "tfr_empty": ({"grid": {"tfr": []}}, "grid tfr lists nothing"),
     "corrupt_seg_sigma_empty": (
         {"corrupt": dict(CORRUPT, seg_sigma=[])}, "corrupt seg_sigma lists nothing"
+    ),
+    ## each case below generated its scenes or trained before failing
+    "patch_size_zero": ({"train": {"patch_size": 0}}, "patch_size must be >= 1"),
+    "corrupt_nan_sigma": ({"corrupt": dict(CORRUPT, seg_sigma=[0.3, float("nan")])},
+                          "seg_sigma"),
+    "dense_beyond_t_max": ({"grid": {"t": [4, 21]}}, "dense caps t at 20, got t 21"),
+    "corrupt_dense_beyond_t_max": (
+        {"grid": {"t": [21]}, "corrupt": CORRUPT}, "dense caps t at 20, got t 21"
     ),
 }
 

@@ -13,7 +13,7 @@ import pytest
 from changeseries import cli, cores, layers, temporal
 from changeseries.backbone import BackboneConfig, save_checkpoint
 from changeseries.changefeat import EdgeSet
-from changeseries.layers import BatchNorm2d, BatchNormReLU, Conv2d
+from changeseries.layers import BatchNorm2d, BatchNormReLU, Conv2d, TransposeConv2x2
 from changeseries.model import ChangeModel, ModelConfig
 from changeseries.rng import SeededRng
 from changeseries.synthgen import SceneSpec, generate
@@ -183,6 +183,7 @@ def test_inference_split_by_image_equals_one_worker(monkeypatch, split_everythin
     x = centered(rng, (batch, 4, 9, 12))
     conv = Conv2d(4, 6, 3, SeededRng(9))
     head = Conv2d(4, 2, 1, SeededRng(8))
+    up = TransposeConv2x2(4, 3, SeededRng(6))
     t_len = max(batch, 2)
     images = centered(rng, (t_len, 3, 16, 16))
     edges = EdgeSet("dense", t_len)
@@ -196,7 +197,7 @@ def test_inference_split_by_image_equals_one_worker(monkeypatch, split_everythin
         return at_workers(
             monkeypatch, n,
             lambda: (conv.forward(x, keep=False), head.forward(x, keep=False),
-                     *model.forward(images, edges, keep=False)),
+                     up.forward(x, keep=False), *model.forward(images, edges, keep=False)),
         )
 
     want = run(1)

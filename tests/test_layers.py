@@ -129,6 +129,24 @@ def shifted_taps_conv_oracle(conv, x, dy):
     return y, dw, dy.sum(axis=(0, 2, 3)), shifted_taps_oracle(dy, wflip)
 
 
+def transpose_taps_oracle(up, x, dy):
+    """TransposeConv2x2's forward, weight grad, bias grad and dx by shifted_taps_conv_oracle.
+
+    The (Cin, Cout, 2, 2) weight is read as a 1x1 kernel to 4*Cout
+    channels, and channel (d, i, j) of pixel (h, w) moves to channel d of
+    pixel (2h+i, 2w+j); dy moves the other way.
+    """
+    cin, cout = up.weight.value.shape[:2]
+    b, _, h, w = x.shape
+    conv = Conv2d(cin, 4 * cout, 1, SeededRng(0))
+    conv.weight.value = up.weight.value.reshape(cin, 4 * cout, 1, 1).transpose(1, 0, 2, 3)
+    dy4 = dy.reshape(b, cout, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(b, 4 * cout, h, w)
+    y4, dw4, _, dx = shifted_taps_conv_oracle(conv, x, dy4)
+    y = y4.reshape(b, cout, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(b, cout, 2 * h, 2 * w)
+    y += up.bias.value[:, None, None]
+    return y, dw4[:, :, 0, 0].T.reshape(cin, cout, 2, 2), dy.sum(axis=(0, 2, 3)), dx
+
+
 ## (cin, cout, kernel, extent) of every conv in the default model on a 64x64
 ## patch: encoder blocks, decoder blocks, then the 1x1 head
 MODEL_CONV_SHAPES = [
@@ -142,6 +160,9 @@ MODEL_CONV_SHAPES = [
     (16, 8, 3, 64),
     (8, 1, 1, 64),
 ]
+
+## (cin, cout, input extent) of the default model's up-convs on a 64x64 patch
+MODEL_UPCONV_SHAPES = [(32, 16, 16), (16, 8, 32)]
 
 
 def test_kaiming_bound_and_determinism():
@@ -215,6 +236,27 @@ def test_transpose_conv_matches_scatter_oracle():
                     )
     want += up.bias.value[None, :, None, None]
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [6, 15])
+@pytest.mark.parametrize("shape", MODEL_UPCONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_transpose_conv_bitwise_equals_shifted_taps(shape, batch):
+    ## the up-conv runs the 1x1 tap GEMMs of Conv2d on its weight, so it is
+    ## held to the same oracle, at the model's desk shapes
+    cin, cout, extent = shape
+    rng = SeededRng(cin * 100 + cout + batch)
+    up = TransposeConv2x2(cin, cout, rng)
+    up.bias.value = centered(rng, (cout,))
+    x = centered(rng, (batch, cin, extent, extent))
+    dy = centered(rng, (batch, cout, 2 * extent, 2 * extent))
+    y = up.forward(x)
+    dx = up.backward(dy)
+    want_y, want_dw, want_db, want_dx = transpose_taps_oracle(up, x, dy)
+    assert np.array_equal(y, want_y)
+    assert np.array_equal(up.weight.grad, want_dw)
+    assert np.array_equal(up.bias.grad, want_db)
+    assert np.array_equal(dx, want_dx)
+    assert y.flags.c_contiguous and dx.flags.c_contiguous
 
 
 def test_transpose_conv_gradients():

@@ -209,6 +209,9 @@ def test_adjacent_stack_draws_only_its_rows(monkeypatch):
         ## more buildings than pixels; a billion used to hang the building loop
         dict(n_buildings=32 * 32 + 1),
         dict(n_buildings=10**9),
+        ## NaN passed the x < 0 checks and failed only on the drawn images
+        dict(noise_sigma=float("nan")),
+        dict(illumination_jitter=float("nan")),
     ],
 )
 def test_spec_validation(kw):

@@ -370,6 +370,12 @@ def test_train_config_jsonable_round_trip():
         dict(t_train=1),
         dict(candidate_crops=0),
         dict(edge_kind="sideways"),
+        ## a patch below one pixel used to warn on empty slices; NaN passed x < 0
+        dict(patch_size=0),
+        dict(patch_size=-8),
+        dict(lr=float("nan")),
+        dict(weight_decay=float("nan")),
+        dict(base_prob=float("nan")),
     ],
 )
 def test_train_config_validation(kw):

@@ -66,10 +66,7 @@ class Encoder(Layer):
 
     def __init__(self, cfg: BackboneConfig, rng: SeededRng):
         self.cfg = cfg
-        ## nothing reads the gradient of the images: the entry conv skips it
-        self.entry = ConvBlock(
-            cfg.in_channels, cfg.base_width, cfg.use_batchnorm, rng, input_grad=False
-        )
+        self.entry = ConvBlock(cfg.in_channels, cfg.base_width, cfg.use_batchnorm, rng)
         self.pools = []
         self.blocks = []
         for s in range(1, cfg.scales):
@@ -86,7 +83,7 @@ class Encoder(Layer):
         return feats
 
     def backward(self, d_pyramid: list[np.ndarray]) -> None:
-        """Accumulate every parameter gradient; the images get none."""
+        """Accumulate every parameter gradient; the images' gradient is dropped."""
         grad = d_pyramid[-1]
         for s in range(len(self.blocks) - 1, -1, -1):
             grad = self.pools[s].backward(self.blocks[s].backward(grad))

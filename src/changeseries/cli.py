@@ -225,7 +225,8 @@ def _cmd_synth_gen(args) -> int:
 def _model_config_from_args(args, in_channels: int) -> ModelConfig:
     backbone = replace(BackboneConfig.from_args(args), in_channels=in_channels,
                        use_batchnorm=not args.no_batchnorm)
-    return ModelConfig(backbone, TemporalConfig.from_args(args) if args.tfr else None, args.seed)
+    temporal = TemporalConfig.from_args(args)  # checks the refiner flags with --no-tfr too
+    return ModelConfig(backbone, temporal if args.tfr else None, args.seed)
 
 
 def _cmd_train(args) -> int:
@@ -520,9 +521,38 @@ def load_ablate_config(path: str) -> tuple[AblateConfig, dict]:
         else:
             for t in cfg.grid.t:
                 replace(cfg.scenes.spec, t_len=t)  # every series length checks itself
+        _refuse_unread(cfg)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return cfg, raw
+
+
+def _refuse_unread(cfg: AblateConfig) -> None:
+    """Refuse settings the grid never reads, each named by its key.
+
+    A corrupt or checkpoint grid trains nothing, and scene directories take
+    the place of seeds and spec.  Parsed values are held against the
+    defaults, so a key that restates its default passes.
+    """
+    default, scenes = AblateConfig(), cfg.scenes
+    reasons, named = [], set()
+    if cfg.corrupt is not None or cfg.checkpoint is not None:
+        keys = [k for k in ("model", "train", "seed") if getattr(cfg, k) != getattr(default, k)]
+        keys += [f"grid.{k}" for k in ("loss_edges", "tfr")
+                 if getattr(cfg.grid, k) != getattr(default.grid, k)]
+        keys += [f"scenes.{k}" for k in ("train_seeds", "train_dirs") if getattr(scenes, k)]
+        if keys:
+            mode = "corrupt" if cfg.corrupt is not None else "checkpoint"
+            reasons.append(f"a {mode} grid trains no model and reads no {', '.join(keys)}")
+            named.update(keys)
+    if scenes.from_dirs:
+        keys = [f"scenes.{k}" for k in ("train_seeds", "val_seeds") if getattr(scenes, k)]
+        keys += ["scenes.spec"] if scenes.spec != default.scenes.spec else []
+        keys = [k for k in keys if k not in named]
+        if keys:
+            reasons.append(f"scene directories replace {', '.join(keys)}")
+    if reasons:
+        raise ValueError("; ".join(reasons))
 
 
 def _mode_feasible(mode: str, kind: str, t_len: int) -> bool:

@@ -12,32 +12,32 @@ parameter gradients in place.
 forward(x, keep=False) computes the same output and stores None in place
 of the cache, so a forward that no backward follows (inference,
 validation) frees each intermediate as soon as the next layer has read
-it.  Composites pass keep down to every layer they own.  backward after
-such a forward is an error; ChangeModel checks it once for the network.
-Every layer takes its cache in backward and leaves None behind, so a
-training step frees each cache as the backward pass reaches it, and a
-later validation forward finds nothing left over.
+it.  Composites pass keep down to every layer they own but Linear, which
+keeps nothing.  backward after such a forward is an error; ChangeModel
+checks it once for the network.  Every layer takes its cache in backward
+and leaves None behind, so a training step frees each cache as the
+backward pass reaches it, and a later validation forward finds nothing
+left over.
 
 A training forward caches only what cannot be rebuilt cheaply.  Conv2d
-and Linear cache only their input, and ReLU only its output; each takes
-that array as backward's second argument instead, so a composite that
-can rebuild it runs them with keep=False.  BatchNormReLU's backward
-takes its output there too, and reads the ReLU mask from it.  ConvBlock
-rebuilds conv2's input from norm1's x-hat (output() of a BatchNormReLU;
-a plain ReLU holds its output), and the refiner's encoder layer rebuilds
-its norm outputs and its FFN hidden layer (temporal.py).  Each rebuild
-calls the helper the forward itself used, so it is bitwise equal to the
-array it replaces.
+caches only its input, and ReLU only its output; each takes that array as
+backward's second argument instead, so a composite that can rebuild it
+runs them with keep=False.  Linear's backward always takes its input
+there.  BatchNormReLU's backward takes its output there too, and reads
+the ReLU mask from it.  ConvBlock rebuilds conv2's input from norm1's
+x-hat (output() of a BatchNormReLU; a plain ReLU holds its output), and
+the refiner's encoder layer rebuilds its norm outputs and its FFN hidden
+layer (temporal.py).  Each rebuild calls the helper the forward itself
+used, so it is bitwise equal to the array it replaces.
 
 Conv2d caches its input by reference, never a patch matrix: every conv,
 TransposeConv2x2 included, runs forward, dx and the weight gradient as one
 GEMM per tap over shifted slices of one zero-padded, flattened image at a
 time (_conv_raw): nine for a 3x3 kernel, one for a 1x1 or a transpose
-conv, so no column matrix exists.  A conv built with input_grad=False (the
-network's first) skips dx, which no one reads.  Conv2d returns its output
-and dx C-contiguous, and BatchNormReLU keeps that layout, so every
-activation of a ConvBlock, forward and backward, is contiguous NCHW and
-each per-channel reduction and image copy reads memory in order.
+conv, so no column matrix exists.  Conv2d returns its output and dx
+C-contiguous, and BatchNormReLU keeps that layout, so every activation of
+a ConvBlock, forward and backward, is contiguous NCHW and each
+per-channel reduction and image copy reads memory in order.
 
 Inside cores.threaded() (ChangeModel's inference forward) every conv,
 transpose ones too, splits its images and a large BatchNorm its channels,
@@ -190,16 +190,12 @@ class Conv2d(Layer):
     backward; a caller that rebuilds the input instead runs forward with
     keep=False and passes it to backward.  Backward runs the forward's
     shifted GEMMs per image for the weight gradient (_weight_grad), and
-    builds no column matrix.  With input_grad=False, backward accumulates
-    the parameter gradients and returns None.
+    builds no column matrix.
     """
 
-    def __init__(
-        self, cin: int, cout: int, kernel: int, rng: SeededRng, input_grad: bool = True
-    ):
+    def __init__(self, cin: int, cout: int, kernel: int, rng: SeededRng):
         if kernel not in (1, 3):
             raise ValueError("only 1x1 and 3x3 kernels are supported")
-        self.input_grad = input_grad
         fan_in = cin * kernel * kernel
         self.weight = Param(kaiming_uniform(rng, (cout, cin, kernel, kernel), fan_in))
         self.bias = Param(np.zeros(cout))
@@ -211,13 +207,11 @@ class Conv2d(Layer):
         y += self.bias.value[:, None, None]
         return y
 
-    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
         x = self._x if x is None else x
         self._x = None
         self.weight.grad += _weight_grad(x, dy, self.weight.value.shape[2])
         self.bias.grad += dy.sum(axis=(0, 2, 3))
-        if not self.input_grad:
-            return None
         ## dx is itself a stride-1 convolution with spatially flipped,
         ## channel-transposed weights
         wflip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -420,13 +414,11 @@ class Sigmoid(Layer):
 class MaxPool2x2(Layer):
     def __init__(self):
         self._idx = None
-        self._shape = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even extents, got {h}x{w}")
-        self._shape = x.shape
         view = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
         flat = view.reshape(b, c, h // 2, w // 2, 4)
         idx = flat.argmax(axis=-1)
@@ -434,12 +426,12 @@ class MaxPool2x2(Layer):
         return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, h, w = self._shape
         idx, self._idx = self._idx, None
-        flat = np.zeros((b, c, h // 2, w // 2, 4))
+        b, c, h2, w2 = idx.shape
+        flat = np.zeros((b, c, h2, w2, 4))
         np.put_along_axis(flat, idx[..., None], dy[..., None], axis=-1)
-        view = flat.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return view.reshape(b, c, h, w)
+        view = flat.reshape(b, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return view.reshape(b, c, 2 * h2, 2 * w2)
 
 
 def channel_outer(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -455,24 +447,20 @@ def channel_outer(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 class Linear(Layer):
     """y[b] = W.T @ x[b] + bias over the channel axis of (B, D_in, P) input.
 
-    The cache is the input alone, by reference: a caller that rebuilds the
-    input runs forward with keep=False and passes it to backward.
+    Keeps no cache: backward takes the forward's input, which the refiner's
+    encoder layer rebuilds.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: SeededRng):
         self.weight = Param(kaiming_uniform(rng, (d_in, d_out), d_in))
         self.bias = Param(np.zeros(d_out))
-        self._x = None
 
-    def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        self._x = x if keep else None
+    def forward(self, x: np.ndarray) -> np.ndarray:
         y = np.matmul(self.weight.value.T, x)
         y += self.bias.value[:, None]
         return y
 
-    def backward(self, dy: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        x = self._x if x is None else x
-        self._x = None
+    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
         self.weight.grad += channel_outer(x, dy)
         self.bias.grad += dy.sum(axis=(0, 2))
         return np.matmul(self.weight.value, dy)
@@ -527,14 +515,11 @@ class ConvBlock(Layer):
     norm1 and norm2 are each a BatchNormReLU, or a plain ReLU when
     normalization is off; either way every activation is C-contiguous
     NCHW.  conv2 keeps no input: backward rebuilds it as norm1.output(),
-    which also gives norm1 its mask.  input_grad=False builds the first
-    conv without dx: backward then returns None.
+    which also gives norm1 its mask.
     """
 
-    def __init__(
-        self, cin: int, cout: int, use_norm: bool, rng: SeededRng, input_grad: bool = True
-    ):
-        self.conv1 = Conv2d(cin, cout, 3, rng, input_grad)
+    def __init__(self, cin: int, cout: int, use_norm: bool, rng: SeededRng):
+        self.conv1 = Conv2d(cin, cout, 3, rng)
         self.norm1 = BatchNormReLU(cout) if use_norm else ReLU()
         self.conv2 = Conv2d(cout, cout, 3, rng)
         self.norm2 = BatchNormReLU(cout) if use_norm else ReLU()
@@ -546,7 +531,7 @@ class ConvBlock(Layer):
         x = self.conv2.forward(x, keep=False)
         return self.norm2.forward(x, keep=keep)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = self.norm2.backward(dy)
         a = self.norm1.output()
         dy = self.conv2.backward(dy, a)

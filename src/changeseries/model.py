@@ -25,7 +25,7 @@ from .changefeat import EdgeSet, change_pyramid, change_pyramid_backward
 from .jsonconfig import JsonConfig
 from .layers import Identity, Layer
 from .rng import SeededRng
-from .temporal import TemporalConfig, TemporalRefiner
+from .temporal import FF_MULT, TemporalConfig, TemporalRefiner
 
 _STREAM_INIT = 777
 
@@ -52,7 +52,7 @@ def check_records(cfg: ModelConfig, values: dict) -> None:
     widest = itertools.chain(
         [("encoder.entry.conv1.weight", (w(0), bb.in_channels, 3, 3))],
         ((f"encoder.down{s}.conv2.weight", (w(s), w(s), 3, 3)) for s in range(1, bb.scales)),
-        ((f"temporal.scale{s}.layer{i}.ff1.weight", (w(s), tc.ff_mult * w(s)))
+        ((f"temporal.scale{s}.layer{i}.ff1.weight", (w(s), FF_MULT * w(s)))
          for s in range(bb.scales) for i in range(tc.layers if tc else 0)),
     )
     for name, shape in widest:

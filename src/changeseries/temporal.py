@@ -47,17 +47,19 @@ from .rng import SeededRng
 ## this many bytes, so a tile's activations stay in a core's cache
 TILE_HIDDEN_BYTES = 1 << 20
 
+## FFN hidden width over token width, the transformer's own (Vaswani et al. 2017)
+FF_MULT = 4
+
 
 @dataclass(frozen=True)
 class TemporalConfig(JsonConfig):
     heads: int = 2
     layers: int = field(default=2, metadata={"flag": "--attn-layers"})
-    ff_mult: int = field(default=4, metadata={"flag": None})
     use_position_codes: bool = field(default=True, metadata={"flag": None})
 
     def __post_init__(self):
-        if self.heads < 1 or self.layers < 1 or self.ff_mult < 1:
-            raise ValueError("heads, layers and ff_mult must be positive")
+        if self.heads < 1 or self.layers < 1:
+            raise ValueError("heads and layers must be positive")
 
 
 def temporal_encoding(t_len: int, dim: int) -> np.ndarray:
@@ -95,7 +97,6 @@ class MultiHeadSelfAttention(Layer):
     def __init__(self, dim: int, heads: int, rng: SeededRng, cache_input: bool = True):
         if dim % heads:
             raise ValueError(f"width {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
         self.d_head = dim // heads
         self.wq = Param(kaiming_uniform(rng, (dim, dim), dim))
@@ -174,7 +175,7 @@ class TransformerEncoderLayer(Layer):
 
     def _hidden(self, n2: np.ndarray) -> np.ndarray:
         """relu(ff1(n2)), the FFN hidden layer, which no layer keeps."""
-        f = self.ff1.forward(n2, keep=False)
+        f = self.ff1.forward(n2)
         ## forward passes ln2's output with no other reference: it goes now
         del n2
         return self.act.forward(f, keep=False)
@@ -182,7 +183,7 @@ class TransformerEncoderLayer(Layer):
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
         h = self.attn.forward(self.ln1.forward(x, keep=keep), keep=keep)
         h += x
-        y = self.ff2.forward(self._hidden(self.ln2.forward(h, keep=keep)), keep=False)
+        y = self.ff2.forward(self._hidden(self.ln2.forward(h, keep=keep)))
         y += h
         return y
 
@@ -208,7 +209,7 @@ class TemporalRefiner(Layer):
         self.dim = dim
         self.cfg = cfg
         self.blocks = [
-            TransformerEncoderLayer(dim, cfg.heads, cfg.ff_mult, rng) for _ in range(cfg.layers)
+            TransformerEncoderLayer(dim, cfg.heads, FF_MULT, rng) for _ in range(cfg.layers)
         ]
         for i, block in enumerate(self.blocks):
             setattr(self, f"layer{i}", block)
@@ -240,7 +241,7 @@ class TemporalRefiner(Layer):
 
         if keep:
             return tile(0, p).reshape(t, d, h, w)
-        per_tile = max(2, TILE_HIDDEN_BYTES // (t * self.cfg.ff_mult * d * 8))
+        per_tile = max(2, TILE_HIDDEN_BYTES // (t * FF_MULT * d * 8))
         bounds = cores.ranges(p, max(1, p // per_tile))
         out = np.empty((t, d, p))
 

@@ -6,6 +6,7 @@ import json
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ def test_checkpoint_records_are_raster_files(tmp_path):
     values = model.param_values()
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, values, {"note": "bytes"})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[4:8])
     body = blob[8 + hlen :]
     index = json.loads(blob[8 : 8 + hlen])["index"]
@@ -442,7 +443,7 @@ def test_checkpoint_records_are_raster_files(tmp_path):
     for entry in index:
         raster = str(tmp_path / "one.rts")
         write_raster(raster, values[entry["name"]])
-        record = open(raster, "rb").read()
+        record = Path(raster).read_bytes()
         assert body[offset : offset + len(record)] == record
         offset += len(record)
     assert offset == len(body)

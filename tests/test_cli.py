@@ -268,6 +268,23 @@ def test_infer_byte_deterministic(tmp_path, train_run_dir, clean_scene_dir):
         assert file_bytes(os.path.join(a, name)) == file_bytes(os.path.join(b, name))
 
 
+def test_checkpoint_with_the_old_ff_mult_key_infers_unchanged(tmp_path, train_run_dir,
+                                                              clean_scene_dir):
+    ## checkpoints written while the FFN width was a setting carry "ff_mult": 4
+    ckpt = os.path.join(train_run_dir, "checkpoint.ckpt")
+    meta, values = load_checkpoint(ckpt)
+    assert "ff_mult" not in meta["model"]["temporal"]
+    meta["model"]["temporal"]["ff_mult"] = 4
+    old = str(tmp_path / "old.ckpt")
+    save_checkpoint(old, values, meta)
+    assert cli._load_model(old)[0].cfg == cli._load_model(ckpt)[0].cfg
+    images = os.path.join(clean_scene_dir, "images.rts")
+    a = infer_into(tmp_path / "a", ckpt, images)
+    b = infer_into(tmp_path / "b", old, images)
+    for name in ("seg_probs.rts", "ch_probs.rts"):
+        assert file_bytes(os.path.join(a, name)) == file_bytes(os.path.join(b, name))
+
+
 def test_infer_missing_checkpoint_fails(tmp_path, clean_scene_dir, capsys):
     argv = ["infer", "--checkpoint", tmp_path / "nope.ckpt",
             "--images", os.path.join(clean_scene_dir, "images.rts"),
@@ -715,10 +732,13 @@ def test_train_overflow_fails_on_one_line(tmp_path, clean_scene_dir, capsys, fla
 
 
 ## a patch below one pixel printed numpy's empty-slice warnings before its
-## error, and a NaN lr took a training step
+## error, a NaN lr took a training step, and --no-tfr trained past refiner
+## flags that are refused without it
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags", [["--patch-size", "0"], ["--patch-size", "-8"],
-                                   ["--lr", "nan"], ["--weight-decay", "nan"]], ids=" ".join)
+                                   ["--lr", "nan"], ["--weight-decay", "nan"],
+                                   ["--no-tfr", "--attn-layers", "-5", "--heads", "0"]],
+                         ids=" ".join)
 def test_train_refuses_malformed_flag_before_any_step(tmp_path, clean_scene_dir, capsys,
                                                       monkeypatch, flags):
     monkeypatch.setattr(cli, "train", _no_work)
@@ -1149,6 +1169,8 @@ def test_ablate_huge_sigma_runs_without_a_warning(tmp_path, capsys):
 
 SCENE_DIRS = {"train_dirs": ["SCENE"], "val_dirs": ["SCENE"]}
 CORRUPT = {"seg_sigma": [0.3], "ch_sigma": 0.25}
+## the scenes of a grid that trains nothing: validation scenes alone
+VAL_SEEDS = {"spec": tiny_spec_jsonable(), "val_seeds": [1]}
 
 ## name -> (sections replacing the valid config's, text the error must name)
 ABLATE_CONFIGS = {
@@ -1207,11 +1229,12 @@ ABLATE_CONFIGS = {
         "no validation scene",
     ),
     "checkpoint_t_too_short": (
-        {"checkpoint": "TRAINED", "grid": {"t": [3, 1]}}, "a scene needs at least 2 timestamps"
+        {"checkpoint": "TRAINED", "grid": {"t": [3, 1]}, "scenes": VAL_SEEDS},
+        "a scene needs at least 2 timestamps",
     ),
     ## a checkpoint evaluates stored scenes whole, as corrupted truth does
     "checkpoint_t_differs_from_scene_dirs": (
-        {"checkpoint": "TRAINED", "grid": {"t": [2, 3]}, "scenes": SCENE_DIRS},
+        {"checkpoint": "TRAINED", "grid": {"t": [2, 3]}, "scenes": {"val_dirs": ["SCENE"]}},
         "grid t [2] differs from the stored validation series, 3 timestamps",
     ),
     ## a misspelt key used to be ignored, so "corupt" ran a full training grid
@@ -1234,11 +1257,12 @@ ABLATE_CONFIGS = {
         {"corrupt": dict(CORRUPT, seg_sigma=[0.3, -0.1])}, "corruption sigmas must be >= 0"
     ),
     "corrupt_t_too_short": (
-        {"grid": {"t": [3, 1]}, "corrupt": CORRUPT}, "a scene needs at least 2 timestamps"
+        {"grid": {"t": [3, 1]}, "scenes": VAL_SEEDS, "corrupt": CORRUPT},
+        "a scene needs at least 2 timestamps",
     ),
     ## stored scenes are evaluated as stored: a row of another t would repeat them
     "corrupt_t_differs_from_scene_dirs": (
-        {"grid": {"t": [3, 4]}, "scenes": SCENE_DIRS, "corrupt": CORRUPT},
+        {"grid": {"t": [3, 4]}, "scenes": {"val_dirs": ["SCENE"]}, "corrupt": CORRUPT},
         "grid t [4] differs from the stored validation series, 3 timestamps",
     ),
     ## an empty list used to exit 0 with an empty table
@@ -1257,6 +1281,29 @@ ABLATE_CONFIGS = {
     "corrupt_dense_beyond_t_max": (
         {"grid": {"t": [21]}, "corrupt": CORRUPT}, "dense caps t at 20, got t 21"
     ),
+    ## each case below exited 0 with the table it gives without the unread settings
+    "corrupt_unread_settings": (
+        {"corrupt": CORRUPT, "scenes": VAL_SEEDS, "train": {"lr": 5.0},
+         "model": {"scales": 5}, "grid": {"loss_edges": ["adjacent"], "tfr": [False]}},
+        "a corrupt grid trains no model and reads no model, train, grid.loss_edges, grid.tfr",
+    ),
+    "checkpoint_train_seeds": (
+        {"checkpoint": "TRAINED"}, "a checkpoint grid trains no model and reads no "
+        "scenes.train_seeds",
+    ),
+    "corrupt_train_dirs": (
+        {"corrupt": CORRUPT, "scenes": SCENE_DIRS},
+        "a corrupt grid trains no model and reads no scenes.train_dirs",
+    ),
+    ## the one row averaged the directory, and the seeds were never generated
+    "scene_dirs_beside_seeds": (
+        {"corrupt": CORRUPT, "scenes": {"val_dirs": ["SCENE"], "val_seeds": [7, 8, 9]}},
+        "scene directories replace scenes.val_seeds",
+    ),
+    "scene_dirs_beside_spec": (
+        {"scenes": {**SCENE_DIRS, "spec": {"height": 32}}},
+        "scene directories replace scenes.spec",
+    ),
 }
 
 
@@ -1270,9 +1317,9 @@ def test_ablate_rejects_malformed_config(tmp_path, capsys, monkeypatch, train_ru
     sections, text = ABLATE_CONFIGS[case]
     if sections.get("checkpoint") == "TRAINED":
         sections = dict(sections, checkpoint=os.path.join(train_run_dir, "checkpoint.ckpt"))
-    if sections.get("scenes") == SCENE_DIRS:
-        sections = dict(sections, scenes={"train_dirs": [clean_scene_dir],
-                                          "val_dirs": [clean_scene_dir]})
+    if isinstance(sections.get("scenes"), dict):
+        sections = dict(sections, scenes={k: [clean_scene_dir] if v == ["SCENE"] else v
+                                          for k, v in sections["scenes"].items()})
     monkeypatch.setattr(cli, "generate", _no_work)
     monkeypatch.setattr(cli, "train", _no_work)
     monkeypatch.setattr(cli, "load_checkpoint", _no_work)

@@ -60,14 +60,19 @@ def test_unknown_keys_ignored_and_ints_taken_as_floats():
     assert ModelConfig.from_jsonable(ModelConfig(temporal=None).to_jsonable()).temporal is None
 
 
+def test_temporal_config_stores_no_ff_mult():
+    ## the FFN width is the constant temporal.FF_MULT, not a setting
+    assert "ff_mult" not in TemporalConfig().to_jsonable()
+
+
 def test_partial_objects_refuse_unknown_keys():
     ## from_partial reads hand-written grid files, where a misspelt key must not pass unseen
     assert ModelConfig.from_partial({"backbone": {"scales": 4}}).backbone.scales == 4
     with pytest.raises(ValueError, match=r"^ModelConfig\.backbone\.scale: unknown key$"):
         ModelConfig.from_partial({"backbone": {"scale": 4}})
     with pytest.raises(ValueError, match=r"^ModelConfig\.temporal\.layer: unknown key$"):
-        ModelConfig.from_partial({"temporal": {"heads": 2, "layers": 2, "ff_mult": 4,
-                                               "use_position_codes": True, "layer": 3}})
+        ModelConfig.from_partial({"temporal": {"heads": 2, "layers": 2, "use_position_codes": True,
+                                               "layer": 3}})
     with pytest.raises(ValueError, match=r"^ModelConfig\.sed: unknown key$"):
         ModelConfig.from_partial({"sed": 1})
 

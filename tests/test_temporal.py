@@ -159,9 +159,11 @@ def test_encoder_layer_backward_equals_the_sublayer_chain(t_len):
     dx = layer.backward(dy)
 
     h = chain.attn.forward(chain.ln1.forward(x)) + x
-    hidden = chain.act.forward(chain.ff1.forward(chain.ln2.forward(h)))
+    n2 = chain.ln2.forward(h)
+    hidden = chain.act.forward(chain.ff1.forward(n2))
     want_y = chain.ff2.forward(hidden) + h
-    dh = dy + chain.ln2.backward(chain.ff1.backward(chain.act.backward(chain.ff2.backward(dy))))
+    dn2 = chain.ff1.backward(chain.act.backward(chain.ff2.backward(dy, hidden)), n2)
+    dh = dy + chain.ln2.backward(dn2)
     want_dx = dh + chain.ln1.backward(chain.attn.backward(dh))
 
     assert np.array_equal(y, want_y)

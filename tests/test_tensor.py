@@ -2,6 +2,7 @@
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_raster_exact_byte_layout(tmp_path):
     x = np.array([[1.0, 2.5], [-3.0, 0.25], [8.0, 1e-3]])
     path = str(tmp_path / "t.rts")
     write_raster(path, x)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     expected = RASTER_MAGIC + struct.pack("<I", 2) + struct.pack("<II", 3, 2)
     expected += x.astype("<f4").tobytes(order="C")
     assert blob == expected
@@ -45,7 +46,7 @@ def test_raster_write_read_write_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.rts"), str(tmp_path / "b.rts")
     write_raster(p1, x)
     write_raster(p2, read_raster(p1))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_raster_rank_limits(tmp_path):
@@ -87,7 +88,7 @@ def test_read_rejects_truncated_and_padded(tmp_path):
     x = np.arange(6, dtype=np.float64).reshape(2, 3)
     path = str(tmp_path / "t.rts")
     write_raster(path, x)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     short = str(tmp_path / "short.rts")
     with open(short, "wb") as fh:
         fh.write(blob[:-4])
@@ -121,7 +122,7 @@ def test_pgm_bytes(tmp_path):
     img = np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 1.0]])
     path = str(tmp_path / "m.pgm")
     export_pgm(path, img)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     ## rounding is floor(255 v + 0.5): 0.5 -> 128, 0.25 -> 64 (63.75 + 0.5)
     assert blob == b"P5\n3 2\n255\n" + bytes([0, 128, 255, 64, 191, 255])
 

@@ -1,26 +1,26 @@
-"""One process-wide pool of threads for work split inside a layer.
+"""One process-wide pool of threads for work split inside a layer or a pass.
 
-A layer that splits its work hands run() a function over index ranges:
-images of a conv, channels of a BatchNorm, pixel tiles of the
-temporal refiner or of the Markov decoders.  run() calls it once on the
-whole range, or on one contiguous range per part, the first on the calling
-thread and each other on a thread of the shared pool.  Every range writes
-its own part of an output the caller allocated, with the same operations
-the whole range would run, so results do not depend on the worker count.
-Each pool range runs in a copy of the caller's context, so numpy's error
-state (np.errstate, a contextvar) holds there as on the calling thread.
-No other module starts a thread.
+A caller that splits its work hands run() a function over index ranges:
+images of a conv, channels of a BatchNorm, pixel tiles of the temporal
+refiner or of the Markov decoders, or the independent branches of a
+training step (ChangeModel's refiners and twin decoders).  run() calls it
+once on the whole range, or on one contiguous range per part, the first on
+the calling thread and each other on a thread of the shared pool.  Every
+range writes its own part of an output the caller allocated, with the same
+operations the whole range would run, so results do not depend on the
+worker count.  Each pool range runs in a copy of the caller's context, so
+numpy's error state (np.errstate, a contextvar) holds there as on the
+calling thread.  No other module starts a thread.
 
 Work is split only inside a threaded() block, which the caller opens
-around a whole pass (ChangeModel's inference forward, the decoding in
+around a whole pass (ChangeModel's forward and backward, the decoding in
 markov.integrate).  Inside it, OpenBLAS is held at one thread through the
 scipy_openblas_set_num_threads64_ symbol that numpy's bundled OpenBLAS
 exports, and afterwards it goes back to its default.  The block spans the
 pass, not each split: an OpenBLAS worker spins on a core for about 0.1 s
 after every multi-threaded GEMM (measured on 2 vCPUs), so a GEMM between
 two splits would leave it spinning against both workers.  Outside a block
-nothing is split and BLAS threads its GEMMs as before, which training,
-whose weight gradients are whole-batch GEMMs, runs faster.
+nothing is split and BLAS threads its GEMMs as before.
 
 Split work runs on WORKERS threads, len(os.sched_getaffinity(0)) when
 WORKERS is None: the calling thread and a pool of WORKERS - 1.  Two

@@ -39,14 +39,17 @@ C-contiguous, and BatchNormReLU keeps that layout, so every activation of
 a ConvBlock, forward and backward, is contiguous NCHW and each
 per-channel reduction and image copy reads memory in order.
 
-Inside cores.threaded() (ChangeModel's inference forward) every conv,
-transpose ones too, splits its images and a large BatchNorm its channels,
-one part per worker.  Each part computes its cells with the same
-operations, in the same order, as the whole layer: an image's GEMMs have
-the same shapes on any thread, and every BatchNorm part holds two channels
-or more (_channel_parts).  So the output is bitwise equal at every worker
-count.  A threshold (NORM_SPLIT_CELLS) keeps small BatchNorms, which lose
-to the hand-off, whole.
+Inside cores.threaded(), on a thread that runs no split work already,
+every conv, transpose ones too, splits its images and a large BatchNorm
+its channels, one part per worker: the encoder in every ChangeModel pass,
+and the whole network in an inference forward.  A layer inside one of a
+training step's side-by-side branches (model.py) runs whole on its thread.
+Each part computes its cells with the same operations, in the same order,
+as the whole layer: an image's GEMMs have the same shapes on any thread,
+and every BatchNorm part holds two channels or more (_channel_parts).  So
+the output is bitwise equal at every worker count.  A threshold
+(NORM_SPLIT_CELLS) keeps small BatchNorms, which lose to the hand-off,
+whole.
 
 Layer.params() walks the attributes in __init__ order, yielding a Param
 under its attribute name and a child Layer's params under "attr.", and
@@ -412,18 +415,35 @@ class Sigmoid(Layer):
 
 
 class MaxPool2x2(Layer):
+    """Max over each 2x2 cell; backward routes dy to the cell's first maximum.
+
+    The output is np.maximum of the cell's four strided views, and a
+    training forward also keeps the index of the first view, in (0,0),
+    (0,1), (1,0), (1,1) order, that equals it: argmax's pick on finite
+    input.
+    """
+
     def __init__(self):
         self._idx = None
 
     def forward(self, x: np.ndarray, *, keep: bool = True) -> np.ndarray:
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"pooling needs even extents, got {h}x{w}")
-        view = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        flat = view.reshape(b, c, h // 2, w // 2, 4)
-        idx = flat.argmax(axis=-1)
-        self._idx = idx if keep else None
-        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        views = [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+        y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+        self._idx = self._first_max(views, y) if keep else None
+        return y
+
+    @staticmethod
+    def _first_max(views: list, y: np.ndarray) -> np.ndarray:
+        """uint8 index of the first view equal to y: n0 * (1 + n1 * (1 + n2)), ni = view i != y."""
+        n0, n1, n2 = ((v != y).view(np.uint8) for v in views[:3])
+        idx = n2 + np.uint8(1)
+        idx *= n1
+        idx += 1
+        idx *= n0
+        return idx
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         idx, self._idx = self._idx, None

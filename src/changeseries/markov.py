@@ -152,24 +152,39 @@ def _canonical_score(node, edge, pairs, states, cols=None) -> np.ndarray:
 
     cols None means every pixel column, in order, and then states may be
     boolean: each term picks its cell with np.where.  Gathered columns
-    index the cell and the column at once.  Node terms are summed in
-    timestamp order, edge terms in edge order, and the two sums added: one
-    fixed order for every decoder and tile.
+    index the cell and the column at once.  All node terms of a run of
+    columns are gathered at once, (T, k), and so are all edge terms,
+    (N, k); each is summed over its rows in order, timestamp order and edge
+    order, and the two sums added: one fixed order for every decoder and
+    tile.  Runs hold at most BLOCK_ELEMENTS // (T + N) columns, so the
+    gathers stay bounded at every K.
     """
-    if cols is None:
-        def term(table, s):
-            return np.where(s, table[1], table[0])
-    else:
-        def term(table, s):
-            return table[s, cols]
+    t_len, width = states.shape
+    tt = [t for t, _ in pairs]
+    kk = [k for _, k in pairs]
+    score = np.empty(width)
+    step = max(1, BLOCK_ELEMENTS // (t_len + len(pairs)))
+    for lo in range(0, width, step):
+        run = slice(lo, lo + step)
+        s = states[:, run]
+        d = s[tt] ^ s[kk]
+        if cols is None:
+            node_terms = np.where(s, node[:, 1, run], node[:, 0, run])
+            edge_terms = np.where(d, edge[:, 1, run], edge[:, 0, run])
+        else:
+            node_terms = node[np.arange(t_len)[:, None], s, cols[run]]
+            edge_terms = edge[np.arange(len(pairs))[:, None], d, cols[run]]
+        np.add(_row_sum(node_terms), _row_sum(edge_terms), out=score[run])
+    return score
 
-    node_sum, edge_sum = np.zeros(states.shape[1]), np.zeros(states.shape[1])
-    for t in range(len(states)):
-        node_sum += term(node[t], states[t])
-    for n, (t, k) in enumerate(pairs):
-        edge_sum += term(edge[n], states[t] ^ states[k])
-    node_sum += edge_sum
-    return node_sum
+
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """terms (R, k) summed over its rows one after another, first to last.
+
+    numpy sums a (R, k) array's rows in order for k >= 2, but a single
+    column pairwise, so that one is accumulated instead.
+    """
+    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms[:, 0])[-1:]
 
 
 def _sweep(node: np.ndarray, edge: np.ndarray) -> np.ndarray:

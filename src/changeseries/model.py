@@ -6,16 +6,26 @@ The change branch consumes parameter-free later-minus-earlier differences
 of the refined pyramid, both as its deepest input and as its skip
 connections.  backward() routes loss gradients from both heads down to
 every parameter.  forward(..., keep=False) keeps no backward cache in any
-layer, for callers that never call backward (inference, validation), and
-runs inside cores.threaded(): its 3x3 convs, BatchNorms and refiners split
-their work between the cores, bitwise equal to one core's result.
+layer, for callers that never call backward (inference, validation).
+
+Both passes run inside cores.threaded().  The encoder splits its convs by
+image and its large BatchNorms by channel either way.  A training pass
+(forward with keep=True, and backward) runs the independent branches side
+by side, each whole on one thread (_branches): the refiners, scale 0 on
+the calling thread and the deeper scales on the pool; then the change
+decoder, with the difference features, on the calling thread beside the
+segmentation decoder.  The calling thread takes the heavier branch.  Each
+parameter belongs to one branch, so its gradient sums in one thread's
+order.  A keep=False forward runs the same branches one after another on the
+calling thread, the segmentation decoder first, each layer splitting its
+own work.  Either way the result is bitwise equal to one core's.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -123,14 +133,21 @@ class ChangeModel(Layer):
             )
         ## the edge set doubles as the mark that the layer caches are live
         self._edges = edges if keep else None
-        ## inference splits its large layers between the cores; training
-        ## leaves its whole-batch GEMMs to BLAS's own threads
-        with contextlib.nullcontext() if keep else cores.threaded():
+        with cores.threaded():
             pyramid = self.encoder.forward(images, keep=keep)
-            refined = [r.forward(level, keep=keep) for r, level in zip(self.refiners, pyramid)]
-            seg = self.seg_decoder.forward(refined, keep=keep)
-            diff = change_pyramid(refined, edges)
-            ch = self.change_decoder.forward(diff, keep=keep)
+            refined = _branches(
+                [partial(r.forward, level, keep=keep) for r, level in zip(self.refiners, pyramid)],
+                side_by_side=keep,
+            )
+            decode_seg = partial(self.seg_decoder.forward, refined, keep=keep)
+
+            def decode_change() -> np.ndarray:
+                return self.change_decoder.forward(change_pyramid(refined, edges), keep=keep)
+
+            if keep:
+                ch, seg = _branches([decode_change, decode_seg], side_by_side=True)
+            else:
+                seg, ch = _branches([decode_seg, decode_change], side_by_side=False)
         return seg, ch
 
     def backward(self, d_seg: np.ndarray, d_ch: np.ndarray) -> None:
@@ -138,8 +155,35 @@ class ChangeModel(Layer):
         edges, self._edges = self._edges, None
         if edges is None:
             raise RuntimeError("backward needs a preceding forward with keep=True")
-        d_diff = self.change_decoder.backward(d_ch)
-        d_refined = change_pyramid_backward(d_diff, edges)
-        d_from_seg = self.seg_decoder.backward(d_seg)
-        merged = [a + b for a, b in zip(d_refined, d_from_seg)]
-        self.encoder.backward([r.backward(g) for r, g in zip(self.refiners, merged)])
+
+        def decode_change() -> list[np.ndarray]:
+            return change_pyramid_backward(self.change_decoder.backward(d_ch), edges)
+
+        decode_seg = partial(self.seg_decoder.backward, d_seg)
+        with cores.threaded():
+            merged, from_seg = _branches([decode_change, decode_seg], side_by_side=True)
+            for a, b in zip(merged, from_seg):
+                a += b
+            d_pyramid = _branches(
+                [partial(r.backward, g) for r, g in zip(self.refiners, merged)], side_by_side=True
+            )
+            self.encoder.backward(d_pyramid)
+
+
+def _branches(fns: list, *, side_by_side: bool) -> list:
+    """[fn() for fn in fns], side by side (a training pass) or in order.
+
+    Side by side, each fn is one cores.run item and the workers take
+    contiguous ranges of them, fns[0] on the calling thread; no layer
+    splits again inside a range.  In order, they run one after another
+    on the calling thread, each layer splitting its own work.  Either way
+    every fn runs the same operations, so the results are bitwise equal.
+    """
+    out = [None] * len(fns)
+
+    def call(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            out[i] = fns[i]()
+
+    cores.run(call, len(fns), len(fns) if side_by_side else 1)
+    return out

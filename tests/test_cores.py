@@ -265,10 +265,12 @@ def test_refiner_tiles_are_at_least_two_pixels(monkeypatch):
 
 
 def _tiny_training():
+    ## three scales: two workers refine scale 0 on the calling thread and
+    ## scales 1 and 2 on the pool, three workers one scale each
     spec = dict(t_len=3, height=16, width=16, n_buildings=4, min_extent=3, max_extent=6)
     scenes = [generate(SceneSpec(seed=s, **spec)) for s in (0, 1)]
     model_cfg = ModelConfig(
-        backbone=BackboneConfig(scales=2, base_width=4, in_channels=3),
+        backbone=BackboneConfig(scales=3, base_width=4, in_channels=3),
         temporal=TemporalConfig(heads=2, layers=1),
         seed=0,
     )
@@ -291,6 +293,38 @@ def test_train_is_identical_at_every_worker_count(monkeypatch, split_everything)
         others = other.model.param_values()
         for name, arr in first.model.param_values().items():
             assert bits_equal(others[name], arr), name
+
+
+@needs_blas
+def test_a_training_step_runs_the_twin_decoders_side_by_side(monkeypatch):
+    monkeypatch.setattr(cores, "WORKERS", 2)
+    model = ChangeModel(ModelConfig(
+        backbone=BackboneConfig(scales=2, base_width=4, in_channels=3),
+        temporal=TemporalConfig(heads=2, layers=1),
+        seed=0,
+    ))
+    ## (decoder, method) -> the thread it last ran on
+    seen = {}
+    for name in ("seg_decoder", "change_decoder"):
+        decoder = getattr(model, name)
+        for method in ("forward", "backward"):
+            def spy(*args, inner=getattr(decoder, method), key=(name, method), **kwargs):
+                seen[key] = threading.get_ident()
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(decoder, method, spy)
+    images, edges = centered(SeededRng(5), (3, 3, 8, 8)), EdgeSet("dense", 3)
+    seg, ch = model.forward(images, edges)
+    model.backward(np.ones_like(seg), np.ones_like(ch))
+    me = threading.get_ident()
+    for method in ("forward", "backward"):
+        ## the change branch, the heavier, stays on the calling thread
+        assert seen["change_decoder", method] == me, method
+        assert seen["seg_decoder", method] != me, method
+    ## a forward that keeps no cache runs both on the calling thread
+    seen.clear()
+    model.forward(images, edges, keep=False)
+    assert set(seen.values()) == {me}
 
 
 def test_cli_train_and_infer_bytes_do_not_depend_on_workers(monkeypatch, tmp_path,

@@ -308,6 +308,49 @@ def test_general_blocking_does_not_change_results(monkeypatch):
     assert not states.any()
 
 
+def per_term_score(node, edge, pairs, states, cols=None):
+    """The canonical score one term at a time: node sum, edge sum, then their sum."""
+    if cols is None:
+        def pick(table, s):
+            return np.where(s, table[1], table[0])
+    else:
+        def pick(table, s):
+            return table[s, cols]
+
+    node_sum, edge_sum = np.zeros(states.shape[1]), np.zeros(states.shape[1])
+    for t in range(len(states)):
+        node_sum += pick(node[t], states[t])
+    for n, (t, k) in enumerate(pairs):
+        edge_sum += pick(edge[n], states[t] ^ states[k])
+    return node_sum + edge_sum
+
+
+@pytest.mark.parametrize("kind", ["adjacent", "dense"])
+def test_canonical_score_equals_the_per_term_sum_across_runs(monkeypatch, kind):
+    ## BLOCK_ELEMENTS caps a run of columns at BLOCK_ELEMENTS // (T + N):
+    ## at T=5 (9 or 15 terms) 45 makes runs of 5 or 3 columns, so 1 to 17
+    ## columns end on runs of every width; at T=12 (23 or 78 terms) 40
+    ## makes runs of one column, whose rows numpy would sum pairwise
+    def bits_equal(a, b):
+        return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    for t_len, block in ((5, 45), (12, 40)):
+        seg, ch, edges = random_instance(31 + t_len, t_len, kind, h=1, w=17)
+        node, edge, _ = markov._flatten(build_potentials(seg, ch, edges))
+        pairs = edges.index_pairs
+        rng = SeededRng(t_len)
+        for blocks in (markov.BLOCK_ELEMENTS, block):
+            monkeypatch.setattr(markov, "BLOCK_ELEMENTS", blocks)
+            every = rng.uniform((t_len, 17)) < 0.5
+            got = markov._canonical_score(node, edge, pairs, every)
+            assert bits_equal(got, per_term_score(node, edge, pairs, every)), blocks
+            for width in range(1, 18):
+                states = rng.randint(2, (t_len, width))
+                cols = rng.randint(17, width)
+                got = markov._canonical_score(node, edge, pairs, states, cols)
+                assert bits_equal(got, per_term_score(node, edge, pairs, states, cols)), width
+
+
 def entered_blocks(monkeypatch, pot):
     """Decode pot and return the start of every assignment block it scores."""
     starts = []
